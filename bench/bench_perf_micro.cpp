@@ -9,12 +9,14 @@
 
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "cluster/hierarchical.hpp"
+#include "core/signature_search.hpp"
 #include "core/fleet.hpp"
 #include "exec/thread_pool.hpp"
 #include "forecast/mlp_forecaster.hpp"
@@ -257,6 +259,44 @@ void BM_MlpTrain(benchmark::State& state, simd::Path path) {
     simd::set_path(ambient);
 }
 
+/// One generated box's MLP stage under a pinned SIMD kernel path: its
+/// CBC signatures over 5 training days (the fleet pipeline's defaults)
+/// fitted with one lane-batched MlpForecaster::fit_batch call, as
+/// run_pipeline_on_box does. The `fits` counter turns the per-iteration
+/// time into a per-model cost; every path trains bit-identical models.
+void BM_MlpTrainBox(benchmark::State& state, simd::Path path) {
+    const simd::Path ambient = simd::active_path();
+    simd::set_path(path);
+    static const std::vector<std::vector<double>> signatures = [] {
+        std::vector<std::vector<double>> series = box_series(5);
+        core::SignatureSearchOptions search;
+        search.method = core::ClusteringMethod::kCbc;
+        std::vector<std::vector<double>> out;
+        for (const int s : core::find_signatures(series, search).signatures) {
+            out.push_back(series[static_cast<std::size_t>(s)]);
+        }
+        return out;
+    }();
+    std::vector<std::span<const double>> histories(signatures.begin(),
+                                                   signatures.end());
+    forecast::MlpWorkspace workspace;
+    for (auto _ : state) {
+        std::vector<std::unique_ptr<forecast::MlpForecaster>> models;
+        std::vector<forecast::MlpForecaster*> members;
+        for (std::size_t k = 0; k < signatures.size(); ++k) {
+            forecast::MlpForecasterOptions options;
+            options.train.seed = 42 + static_cast<unsigned>(k);
+            options.workspace = &workspace;
+            models.push_back(std::make_unique<forecast::MlpForecaster>(options));
+            members.push_back(models.back().get());
+        }
+        forecast::MlpForecaster::fit_batch(members, histories);
+        benchmark::DoNotOptimize(members.front());
+    }
+    state.counters["fits"] = static_cast<double>(signatures.size());
+    simd::set_path(ambient);
+}
+
 /// Pairwise banded DTW matrix under a pinned SIMD kernel path — one row
 /// per (path, days) pair so BENCH_kernels.json carries the scalar vs
 /// vector speedup explicitly instead of only the dispatched winner.
@@ -287,6 +327,10 @@ void register_per_path_benchmarks() {
         benchmark::RegisterBenchmark(
             ("BM_MlpTrain" + tag).c_str(),
             [path](benchmark::State& state) { BM_MlpTrain(state, path); })
+            ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_MlpTrainBox" + tag).c_str(),
+            [path](benchmark::State& state) { BM_MlpTrainBox(state, path); })
             ->Unit(benchmark::kMillisecond);
     }
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "forecast/mlp_forecaster.hpp"
 #include "timeseries/repair.hpp"
 #include "timeseries/stats.hpp"
 
@@ -338,20 +339,17 @@ BoxPipelineResult run_pipeline_on_box(
         obs::ScopedTimer timer(metrics, "stage.forecast");
         exec::checkpoint(config.cancel, "pipeline.forecast");
         ATM_FAULT_SITE(config.fault, "pipeline.forecast");
-        const auto fit_and_forecast = [&](forecast::TemporalModel model,
-                                          int s) -> std::vector<double> {
-            const std::string model_name = forecast::to_string(model);
-            auto forecaster = forecast::make_forecaster(
+        const auto make_model = [&](forecast::TemporalModel model, int s) {
+            return forecast::make_forecaster(
                 model, windows_per_day, config.seed + static_cast<unsigned>(s),
                 metrics, config.cancel,
                 config.workspace != nullptr ? &config.workspace->mlp : nullptr);
-            {
-                obs::ScopedTimer fit_timer(metrics, "forecast.fit." + model_name);
-                forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
-            }
+        };
+        const auto forecast_with = [&](const forecast::Forecaster& model,
+                                       const std::string& model_name) {
             obs::ScopedTimer predict_timer(metrics,
                                            "forecast.predict." + model_name);
-            std::vector<double> values = forecaster->forecast(windows_per_day);
+            std::vector<double> values = model.forecast(windows_per_day);
             for (const double v : values) {
                 if (!std::isfinite(v)) {
                     throw PipelineError(PipelineErrorCode::kModelFitFailed,
@@ -361,6 +359,65 @@ BoxPipelineResult run_pipeline_on_box(
             }
             return values;
         };
+        const auto fit_and_forecast = [&](forecast::TemporalModel model,
+                                          int s) -> std::vector<double> {
+            const std::string model_name = forecast::to_string(model);
+            auto forecaster = make_model(model, s);
+            {
+                obs::ScopedTimer fit_timer(metrics, "forecast.fit." + model_name);
+                forecaster->fit(scoped_train[static_cast<std::size_t>(s)]);
+            }
+            return forecast_with(*forecaster, model_name);
+        };
+        const std::vector<int>& signatures = spatial.signature_indices();
+        // First-rung failure per signature (code + message), for the
+        // degradation entry of whichever rung finally succeeds.
+        std::vector<PipelineErrorCode> first_code(signatures.size(),
+                                                  PipelineErrorCode::kNone);
+        std::vector<std::string> first_error(signatures.size());
+        const auto note_first = [&](std::size_t k, const std::exception& e) {
+            if (first_code[k] != PipelineErrorCode::kNone) return;
+            first_code[k] =
+                classify_current(e, PipelineErrorCode::kModelFitFailed);
+            first_error[k] = e.what();
+        };
+
+        // The MLP rung is fitted for every signature at once, one network
+        // per SIMD lane (bitwise the per-signature fits). Its fault site
+        // is drawn per signature in signature order first, as the ladder
+        // below would; a faulted signature joins no batch, and a failing
+        // batch sends all its members down the ladder.
+        const bool batched = config.temporal == forecast::TemporalModel::kNeuralNetwork;
+        std::vector<std::unique_ptr<forecast::Forecaster>> mlp(signatures.size());
+        if (batched) {
+            std::vector<forecast::MlpForecaster*> members;
+            std::vector<std::span<const double>> histories;
+            for (std::size_t k = 0; k < signatures.size(); ++k) {
+                try {
+                    ATM_FAULT_SITE(config.fault, "forecast.fit");
+                    mlp[k] = make_model(config.temporal, signatures[k]);
+                    members.push_back(
+                        dynamic_cast<forecast::MlpForecaster*>(mlp[k].get()));
+                    histories.emplace_back(
+                        scoped_train[static_cast<std::size_t>(signatures[k])]);
+                } catch (const std::exception& e) {
+                    rethrow_if_cancelled(e);
+                    note_first(k, e);
+                }
+            }
+            try {
+                obs::ScopedTimer fit_timer(metrics, "forecast.fit.mlp");
+                forecast::MlpForecaster::fit_batch(members, histories);
+            } catch (const std::exception& e) {
+                rethrow_if_cancelled(e);
+                for (std::size_t k = 0; k < signatures.size(); ++k) {
+                    if (mlp[k] == nullptr) continue;
+                    mlp[k].reset();
+                    note_first(k, e);
+                }
+            }
+        }
+
         // Per-signature model ladder: the configured model, then AR, then
         // seasonal-naive (which cannot fail on finite input). Only the
         // primary attempt carries a fault site — the fallbacks are the
@@ -368,11 +425,10 @@ BoxPipelineResult run_pipeline_on_box(
         const forecast::TemporalModel ladder[] = {
             config.temporal, forecast::TemporalModel::kAutoregressive,
             forecast::TemporalModel::kSeasonalNaive};
-        for (int s : spatial.signature_indices()) {
+        for (std::size_t k = 0; k < signatures.size(); ++k) {
+            const int s = signatures[k];
             std::vector<double> values;
             bool done = false;
-            PipelineErrorCode first_code = PipelineErrorCode::kNone;
-            std::string first_error;
             for (std::size_t a = 0; a < std::size(ladder) && !done; ++a) {
                 bool already_tried = false;
                 for (std::size_t b = 0; b < a; ++b) {
@@ -380,30 +436,32 @@ BoxPipelineResult run_pipeline_on_box(
                 }
                 if (already_tried) continue;
                 try {
-                    if (a == 0) ATM_FAULT_SITE(config.fault, "forecast.fit");
-                    values = fit_and_forecast(ladder[a], s);
+                    if (a == 0 && batched) {
+                        if (mlp[k] == nullptr) continue;  // faulted or failed fit
+                        values = forecast_with(*mlp[k],
+                                               forecast::to_string(ladder[a]));
+                    } else {
+                        if (a == 0) ATM_FAULT_SITE(config.fault, "forecast.fit");
+                        values = fit_and_forecast(ladder[a], s);
+                    }
                     done = true;
                     if (a > 0) {
                         note_degradation(
-                            result, metrics, first_code, "forecast",
+                            result, metrics, first_code[k], "forecast",
                             "signature " + std::to_string(s) + ": " +
-                                first_error + "; fell back to " +
+                                first_error[k] + "; fell back to " +
                                 forecast::to_string(ladder[a]));
                     }
                 } catch (const std::exception& e) {
                     rethrow_if_cancelled(e);
-                    if (first_code == PipelineErrorCode::kNone) {
-                        first_code = classify_current(
-                            e, PipelineErrorCode::kModelFitFailed);
-                        first_error = e.what();
-                    }
+                    note_first(k, e);
                 }
             }
             if (!done) {
                 throw PipelineError(PipelineErrorCode::kModelFitFailed,
                                     "forecast",
                                     "every temporal model failed for signature " +
-                                        std::to_string(s) + ": " + first_error);
+                                        std::to_string(s) + ": " + first_error[k]);
             }
             signature_forecasts.push_back(std::move(values));
         }

@@ -15,7 +15,8 @@ MlpForecaster::MlpForecaster(MlpForecasterOptions options)
     }
 }
 
-void MlpForecaster::fit(std::span<const double> history) {
+std::optional<MlpTrainJob> MlpForecaster::prepare_fit(
+    std::span<const double> history) {
     if (history.empty()) throw std::invalid_argument("MlpForecaster::fit: empty history");
     history_.assign(history.begin(), history.end());
 
@@ -24,23 +25,21 @@ void MlpForecaster::fit(std::span<const double> history) {
 
     // Flat lag dataset: one contiguous feature block instead of one
     // vector per example (same rows/values as make_lag_dataset).
-    la::FlatMatrix features;
-    std::vector<double> targets;
     ts::make_lag_dataset_flat(scaled, options_.num_lags,
-                              options_.seasonal_period, features, targets);
+                              options_.seasonal_period, features_, targets_);
     // Degenerate cases: constant series or not enough history for even one
     // training example — predict the last value.
     const double lo = *std::min_element(history.begin(), history.end());
     const double hi = *std::max_element(history.begin(), history.end());
-    if (features.rows() < 4 || hi - lo < 1e-12) {
+    if (features_.rows() < 4 || hi - lo < 1e-12) {
         degenerate_ = true;
         constant_value_ = history.back();
         network_.reset();
-        return;
+        return std::nullopt;
     }
     degenerate_ = false;
 
-    const int input_size = static_cast<int>(features.cols());
+    const int input_size = static_cast<int>(features_.cols());
     std::vector<int> layer_sizes;
     layer_sizes.push_back(input_size);
     for (int h : options_.hidden) layer_sizes.push_back(h);
@@ -48,7 +47,29 @@ void MlpForecaster::fit(std::span<const double> history) {
 
     network_ = std::make_unique<MlpNetwork>(layer_sizes, options_.activation,
                                             options_.train.seed);
-    network_->train(features, targets, options_.train, options_.workspace);
+    return MlpTrainJob{network_.get(), &features_, targets_, options_.train};
+}
+
+void MlpForecaster::fit(std::span<const double> history) {
+    MlpForecaster* const self = this;
+    fit_batch(std::span(&self, 1), std::span(&history, 1));
+}
+
+void MlpForecaster::fit_batch(
+    std::span<MlpForecaster* const> models,
+    std::span<const std::span<const double>> histories) {
+    if (models.size() != histories.size()) {
+        throw std::invalid_argument("MlpForecaster::fit_batch: size mismatch");
+    }
+    std::vector<MlpTrainJob> jobs;
+    jobs.reserve(models.size());
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        if (std::optional<MlpTrainJob> job = models[k]->prepare_fit(histories[k])) {
+            jobs.push_back(*job);
+        }
+    }
+    if (jobs.empty()) return;
+    MlpNetwork::train_batch(jobs, models.front()->options_.workspace);
 }
 
 std::vector<double> MlpForecaster::forecast(int horizon) const {

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "forecast/forecaster.hpp"
@@ -39,16 +41,33 @@ class MlpForecaster final : public Forecaster {
     explicit MlpForecaster(MlpForecasterOptions options = {});
 
     void fit(std::span<const double> history) override;
+
+    /// Fits models[k] on histories[k] for every k — bitwise the models
+    /// fit() would produce one by one — training all non-degenerate
+    /// networks in one lane-batched MlpNetwork::train_batch call on
+    /// models[0]'s workspace. The models must share num_lags,
+    /// seasonal_period, hidden, activation and validation fraction, and
+    /// the histories one length (std::invalid_argument otherwise).
+    static void fit_batch(std::span<MlpForecaster* const> models,
+                          std::span<const std::span<const double>> histories);
     [[nodiscard]] std::vector<double> forecast(int horizon) const override;
     [[nodiscard]] std::string name() const override { return "mlp"; }
 
     [[nodiscard]] const MlpForecasterOptions& options() const { return options_; }
 
   private:
+    /// fit() up to training: scaler, lag dataset and a fresh network.
+    /// Returns the network's training job, or nullopt for a degenerate
+    /// history (constant, or too short for a dataset), which forecasts
+    /// its last value without a network.
+    std::optional<MlpTrainJob> prepare_fit(std::span<const double> history);
+
     MlpForecasterOptions options_;
     std::unique_ptr<MlpNetwork> network_;
     ts::MinMaxScaler scaler_;
     std::vector<double> history_;
+    la::FlatMatrix features_;  ///< lag dataset of the last fit
+    std::vector<double> targets_;
     bool degenerate_ = false;  ///< constant history: skip the network
     double constant_value_ = 0.0;
 };

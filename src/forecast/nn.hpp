@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <span>
 #include <vector>
 
 #include "exec/arena.hpp"
 #include "linalg/flat_matrix.hpp"
+#include "linalg/simd/simd.hpp"
 
 namespace atm::exec {
 class CancellationToken;
@@ -17,12 +17,9 @@ class MetricsRegistry;
 
 namespace atm::forecast {
 
-/// Activation function for hidden layers of the MLP.
-enum class Activation {
-    kTanh,
-    kRelu,
-    kSigmoid,
-};
+/// Activation function for hidden layers of the MLP (the kernel layer's
+/// enum, so networks hand it to the SIMD trainer unchanged).
+using Activation = simd::MlpActivation;
 
 /// Training hyper-parameters for MlpNetwork::train.
 struct MlpTrainOptions {
@@ -50,41 +47,36 @@ struct MlpTrainOptions {
     const exec::CancellationToken* cancel = nullptr;
 };
 
-/// Reusable forward/backprop scratch for MlpNetwork: per-layer
-/// activations, pre-activations, and deltas, flattened into three
-/// contiguous buffers with per-layer offsets. Sized lazily for whichever
-/// topology uses it and re-sized (grown) when a differently-shaped
-/// network does — results never depend on what the workspace held
-/// before. One workspace per thread/task; sharing one instance across
-/// concurrent predict/train calls is a race.
+/// Reusable training/prediction scratch for MlpNetwork: the kernel
+/// layer's lane buffers (simd::MlpScratch), grown for whichever topology
+/// and batch uses it and never shrunk — results never depend on what the
+/// workspace held before, and a reused workspace makes training and
+/// prediction allocation-free. One workspace per thread/task; sharing one
+/// instance across concurrent predict/train calls is a race.
 class MlpWorkspace {
   public:
     MlpWorkspace() = default;
     /// Arena-backed buffers (per-worker workspaces; the arena must
     /// outlive the workspace — exec/arena.hpp's lifetime rules).
-    explicit MlpWorkspace(exec::Arena* arena)
-        : acts(exec::ArenaAllocator<double>(arena)),
-          pres(exec::ArenaAllocator<double>(arena)),
-          deltas(exec::ArenaAllocator<double>(arena)),
-          act_off(exec::ArenaAllocator<std::size_t>(arena)),
-          unit_off(exec::ArenaAllocator<std::size_t>(arena)) {}
-
-    /// Sizes the buffers for `layer_sizes` ({in, hidden..., out}) if not
-    /// already sized for exactly that topology. Idempotent and cheap when
-    /// the shape is unchanged — the steady state allocates nothing.
-    void ensure(const std::vector<int>& layer_sizes);
+    explicit MlpWorkspace(exec::Arena* arena) : scratch(arena) {}
 
   private:
     friend class MlpNetwork;
 
-    exec::ArenaVector<double> acts;    ///< activations, all layers incl. input
-    exec::ArenaVector<double> pres;    ///< pre-activations, layers 1..L
-    exec::ArenaVector<double> deltas;  ///< backprop deltas, layers 1..L
-    /// acts offset of layer l (0-based over layer_sizes).
-    exec::ArenaVector<std::size_t> act_off;
-    /// pres/deltas offset of layer l+1 (0-based over weight layers).
-    exec::ArenaVector<std::size_t> unit_off;
-    std::vector<int> sized_for;  ///< topology the offsets were built for
+    simd::MlpScratch scratch;
+};
+
+class MlpNetwork;
+
+/// One network of an MlpNetwork::train_batch call: train `network` on
+/// the rows of `features` against `targets` under `options`. `loss`
+/// receives what MlpNetwork::train would return.
+struct MlpTrainJob {
+    MlpNetwork* network = nullptr;
+    const la::FlatMatrix* features = nullptr;
+    std::span<const double> targets;
+    MlpTrainOptions options;
+    double loss = 0.0;  ///< out
 };
 
 /// A small fully-connected feed-forward network with one output unit,
@@ -95,10 +87,12 @@ class MlpWorkspace {
 /// Hidden layers use the configured activation; the output is linear so
 /// the network regresses unbounded targets.
 ///
-/// Weights, velocities, and scratch are stored as contiguous per-layer
-/// arrays (weights[j*fan_in + i] is the weight from input i to unit j);
-/// with a reused MlpWorkspace the per-sample SGD loop and predict() are
-/// allocation-free.
+/// Weights and biases live in one flat parameter array (simd::MlpShape
+/// layout: per layer, weights[j*fan_in + i] from input i to unit j, then
+/// the biases), momentum velocities in a second array of the same
+/// layout. Training runs on the dispatched SIMD path's lane-batched
+/// kernel, which is bit-identical to the scalar path, so a network's
+/// weights and predictions never depend on the machine's ISA.
 class MlpNetwork {
   public:
     /// `layer_sizes` = {inputs, hidden..., 1}. At least {in, 1}. The final
@@ -115,61 +109,48 @@ class MlpNetwork {
 
     /// Trains on (inputs, target) pairs; returns the best (early-stopped)
     /// validation loss, or the final training loss if validation is off.
-    /// `workspace` (optional, caller-owned) carries the forward/backprop
-    /// scratch; passing one reused across fits makes the per-sample SGD
-    /// loop allocation-free. Results are identical with or without it.
+    /// A batch of one: exactly train_batch over this single job.
+    /// `workspace` (optional, caller-owned) carries the kernel scratch;
+    /// passing one reused across fits makes training allocation-free.
+    /// Results are identical with or without it.
+    double train(const la::FlatMatrix& inputs, std::span<const double> targets,
+                 const MlpTrainOptions& options,
+                 MlpWorkspace* workspace = nullptr);
+
+    /// Nested-vector convenience overload: copies the examples into one
+    /// row-major block, then trains exactly like the flat overload.
     double train(const std::vector<std::vector<double>>& inputs,
                  std::span<const double> targets,
                  const MlpTrainOptions& options,
                  MlpWorkspace* workspace = nullptr);
 
-    /// Flat-dataset overload: examples are the rows of one contiguous
-    /// row-major block (ts::make_lag_dataset_flat's output) instead of
-    /// per-example vectors — the fleet hot path, which avoids one heap
-    /// allocation per example per fit. Identical results: the epoch
-    /// loop, RNG draw order, and per-example arithmetic are shared with
-    /// the nested-vector overload.
-    double train(const la::FlatMatrix& inputs, std::span<const double> targets,
-                 const MlpTrainOptions& options,
-                 MlpWorkspace* workspace = nullptr);
+    /// Trains every job's network, one network per SIMD lane of the
+    /// dispatched path, and stores each job's loss. Every network ends
+    /// bit-identical to calling train() on it alone — on any path, in
+    /// any batch composition. Jobs must share one topology and
+    /// activation, one row count, and one validation split; anything
+    /// else (or a malformed job) throws std::invalid_argument before any
+    /// network is touched. Per-job metrics counters are recorded after
+    /// the batch; a cancellation token tripping mid-batch propagates
+    /// exec::OperationCancelled and leaves the networks partly trained.
+    static void train_batch(std::span<MlpTrainJob> jobs,
+                            MlpWorkspace* workspace = nullptr);
 
     [[nodiscard]] int input_size() const { return layer_sizes_.front(); }
 
     /// Total trainable parameter count (weights + biases).
     [[nodiscard]] std::size_t parameter_count() const;
 
+    /// Every weight and bias, in simd::MlpShape layout.
+    [[nodiscard]] std::span<const double> parameters() const { return params_; }
+
   private:
-    struct Layer {
-        int fan_in = 0;
-        int fan_out = 0;
-        /// weights[j * fan_in + i]: weight from input i to unit j.
-        std::vector<double> weights;
-        std::vector<double> biases;  ///< biases[j] per unit
-        /// Momentum buffers, same shapes.
-        std::vector<double> weight_velocity;
-        std::vector<double> bias_velocity;
-    };
-
-    [[nodiscard]] double activate(double x) const;
-    [[nodiscard]] double activate_grad(double activated, double pre) const;
-
-    /// Shared training loop over an example accessor `row(i)` →
-    /// span<const double>; both public overloads (nested vectors, flat
-    /// matrix) funnel here, so their arithmetic cannot diverge.
-    /// Instantiated only in nn.cpp.
-    template <typename RowFn>
-    double train_impl(RowFn row, std::size_t count,
-                      std::span<const double> targets,
-                      const MlpTrainOptions& options, MlpWorkspace* workspace);
-
-    /// Forward pass into the workspace's activation/pre-activation
-    /// buffers (for backprop and prediction).
-    void forward(std::span<const double> inputs, MlpWorkspace& workspace) const;
+    [[nodiscard]] simd::MlpShape shape() const;
 
     std::vector<int> layer_sizes_;
     Activation activation_;
-    std::vector<Layer> layers_;
-    std::mt19937 rng_;
+    std::vector<double> params_;    ///< simd::MlpShape layout
+    std::vector<double> velocity_;  ///< momentum buffers, same layout
 };
 
 }  // namespace atm::forecast

@@ -1,6 +1,6 @@
-// AVX2 instantiation of the generic wavefront/MLP kernels. Compiled with
+// AVX2 instantiation of the generic DTW and MLP kernels. Compiled with
 // -mavx2 -ffp-contract=off (and deliberately NOT -mfma: contraction of
-// mul+add into FMA would change results and break the DTW bit-identity
+// mul+add into FMA would change results and break the bit-identity
 // contract). Only dispatched after __builtin_cpu_supports("avx2").
 
 #include <immintrin.h>
@@ -22,13 +22,6 @@ struct VecAvx2 {
     static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
     static Reg min(Reg a, Reg b) { return _mm256_min_pd(a, b); }
-    static double hsum(Reg r) {
-        const __m128d lo = _mm256_castpd256_pd128(r);
-        const __m128d hi = _mm256_extractf128_pd(r, 1);
-        const __m128d pair = _mm_add_pd(lo, hi);
-        const __m128d swapped = _mm_unpackhi_pd(pair, pair);
-        return _mm_cvtsd_f64(_mm_add_sd(pair, swapped));
-    }
 };
 
 double dtw_distance_avx2(const double* p, std::size_t n, const double* q,
@@ -42,25 +35,9 @@ void dtw_distance_batch_avx2(const double* const* ps, const double* const* qs,
     dtw_distance_batch_vec<VecAvx2>(ps, qs, count, n, m, band, scratch, out);
 }
 
-void mlp_forward_layer_avx2(const double* weights, const double* biases,
-                            const double* in, std::size_t fan_in,
-                            std::size_t fan_out, double* pre) {
-    mlp_forward_layer_vec<VecAvx2>(weights, biases, in, fan_in, fan_out, pre);
-}
-
-void mlp_backprop_delta_avx2(const double* next_weights,
-                             const double* next_delta, std::size_t width,
-                             std::size_t next_fan_out, double* delta) {
-    mlp_backprop_delta_vec<VecAvx2>(next_weights, next_delta, width,
-                                    next_fan_out, delta);
-}
-
-void mlp_sgd_layer_avx2(double* weights, double* velocity, const double* in,
-                        const double* deltas, std::size_t fan_in,
-                        std::size_t fan_out, double lr, double momentum,
-                        double weight_decay) {
-    mlp_sgd_layer_vec<VecAvx2>(weights, velocity, in, deltas, fan_in, fan_out,
-                               lr, momentum, weight_decay);
+void mlp_train_batch_avx2(const MlpBatch& batch, MlpBatchJob* jobs,
+                          std::size_t count, MlpScratch& scratch) {
+    mlp_train_batch_vec<VecAvx2>(batch, jobs, count, scratch);
 }
 
 }  // namespace
@@ -71,9 +48,7 @@ const KernelTable& avx2_kernel_table() {
         dtw_distance_avx2,
         /*dtw_batch_width=*/VecAvx2::kWidth,
         dtw_distance_batch_avx2,
-        mlp_forward_layer_avx2,
-        mlp_backprop_delta_avx2,
-        mlp_sgd_layer_avx2,
+        mlp_train_batch_avx2,
     };
     return table;
 }

@@ -1,4 +1,4 @@
-// AVX-512 instantiation of the generic wavefront/MLP kernels. Compiled
+// AVX-512 instantiation of the generic DTW and MLP kernels. Compiled
 // with -mavx512f -ffp-contract=off (no -mfma — see kernels_avx2.cpp).
 // Only dispatched after __builtin_cpu_supports("avx512f").
 
@@ -21,7 +21,6 @@ struct VecAvx512 {
     static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
     static Reg min(Reg a, Reg b) { return _mm512_min_pd(a, b); }
-    static double hsum(Reg r) { return _mm512_reduce_add_pd(r); }
 };
 
 double dtw_distance_avx512(const double* p, std::size_t n, const double* q,
@@ -36,26 +35,9 @@ void dtw_distance_batch_avx512(const double* const* ps,
     dtw_distance_batch_vec<VecAvx512>(ps, qs, count, n, m, band, scratch, out);
 }
 
-void mlp_forward_layer_avx512(const double* weights, const double* biases,
-                              const double* in, std::size_t fan_in,
-                              std::size_t fan_out, double* pre) {
-    mlp_forward_layer_vec<VecAvx512>(weights, biases, in, fan_in, fan_out,
-                                     pre);
-}
-
-void mlp_backprop_delta_avx512(const double* next_weights,
-                               const double* next_delta, std::size_t width,
-                               std::size_t next_fan_out, double* delta) {
-    mlp_backprop_delta_vec<VecAvx512>(next_weights, next_delta, width,
-                                      next_fan_out, delta);
-}
-
-void mlp_sgd_layer_avx512(double* weights, double* velocity, const double* in,
-                          const double* deltas, std::size_t fan_in,
-                          std::size_t fan_out, double lr, double momentum,
-                          double weight_decay) {
-    mlp_sgd_layer_vec<VecAvx512>(weights, velocity, in, deltas, fan_in,
-                                 fan_out, lr, momentum, weight_decay);
+void mlp_train_batch_avx512(const MlpBatch& batch, MlpBatchJob* jobs,
+                            std::size_t count, MlpScratch& scratch) {
+    mlp_train_batch_vec<VecAvx512>(batch, jobs, count, scratch);
 }
 
 }  // namespace
@@ -66,9 +48,7 @@ const KernelTable& avx512_kernel_table() {
         dtw_distance_avx512,
         /*dtw_batch_width=*/VecAvx512::kWidth,
         dtw_distance_batch_avx512,
-        mlp_forward_layer_avx512,
-        mlp_backprop_delta_avx512,
-        mlp_sgd_layer_avx512,
+        mlp_train_batch_avx512,
     };
     return table;
 }

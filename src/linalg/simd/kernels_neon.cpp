@@ -1,7 +1,7 @@
-// NEON instantiation of the generic wavefront/MLP kernels, compiled only
+// NEON instantiation of the generic DTW and MLP kernels, compiled only
 // on aarch64 where NEON is baseline (no runtime probe needed). Built
 // with -ffp-contract=off and plain add/mul intrinsics — no vfma — to
-// preserve the DTW bit-identity contract (see kernels_avx2.cpp).
+// preserve the bit-identity contract (see kernels_avx2.cpp).
 
 #include <arm_neon.h>
 
@@ -22,9 +22,6 @@ struct VecNeon {
     static Reg sub(Reg a, Reg b) { return vsubq_f64(a, b); }
     static Reg mul(Reg a, Reg b) { return vmulq_f64(a, b); }
     static Reg min(Reg a, Reg b) { return vminq_f64(a, b); }
-    static double hsum(Reg r) {
-        return vgetq_lane_f64(r, 0) + vgetq_lane_f64(r, 1);
-    }
 };
 
 double dtw_distance_neon(const double* p, std::size_t n, const double* q,
@@ -38,25 +35,9 @@ void dtw_distance_batch_neon(const double* const* ps, const double* const* qs,
     dtw_distance_batch_vec<VecNeon>(ps, qs, count, n, m, band, scratch, out);
 }
 
-void mlp_forward_layer_neon(const double* weights, const double* biases,
-                            const double* in, std::size_t fan_in,
-                            std::size_t fan_out, double* pre) {
-    mlp_forward_layer_vec<VecNeon>(weights, biases, in, fan_in, fan_out, pre);
-}
-
-void mlp_backprop_delta_neon(const double* next_weights,
-                             const double* next_delta, std::size_t width,
-                             std::size_t next_fan_out, double* delta) {
-    mlp_backprop_delta_vec<VecNeon>(next_weights, next_delta, width,
-                                    next_fan_out, delta);
-}
-
-void mlp_sgd_layer_neon(double* weights, double* velocity, const double* in,
-                        const double* deltas, std::size_t fan_in,
-                        std::size_t fan_out, double lr, double momentum,
-                        double weight_decay) {
-    mlp_sgd_layer_vec<VecNeon>(weights, velocity, in, deltas, fan_in, fan_out,
-                               lr, momentum, weight_decay);
+void mlp_train_batch_neon(const MlpBatch& batch, MlpBatchJob* jobs,
+                          std::size_t count, MlpScratch& scratch) {
+    mlp_train_batch_vec<VecNeon>(batch, jobs, count, scratch);
 }
 
 }  // namespace
@@ -67,9 +48,7 @@ const KernelTable& neon_kernel_table() {
         dtw_distance_neon,
         /*dtw_batch_width=*/VecNeon::kWidth,
         dtw_distance_batch_neon,
-        mlp_forward_layer_neon,
-        mlp_backprop_delta_neon,
-        mlp_sgd_layer_neon,
+        mlp_train_batch_neon,
     };
     return table;
 }

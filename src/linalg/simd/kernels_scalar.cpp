@@ -1,13 +1,16 @@
-// Scalar reference kernels. These are the historical row-DP DTW loop and
-// MLP inner loops moved here verbatim from cluster/dtw.cpp and
-// forecast/nn.cpp — the golden suite pins that the move changed nothing,
-// and every vector path is differentially tested against this table.
+// Scalar reference kernels: the historical row-DP DTW loop, moved here
+// verbatim from cluster/dtw.cpp, and the generic MLP trainer of
+// kernels_wavefront.hpp instantiated one lane wide — one network at a
+// time through the historical per-sample SGD sequence. The golden suite
+// pins both to the pre-SIMD results, and every vector path is
+// differentially tested against this table.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 
+#include "linalg/simd/kernels_wavefront.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
@@ -72,43 +75,9 @@ void dtw_distance_batch_scalar(const double* const* ps,
     }
 }
 
-void mlp_forward_layer_scalar(const double* weights, const double* biases,
-                              const double* in, std::size_t fan_in,
-                              std::size_t fan_out, double* pre) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        double acc = biases[j];
-        const double* row = weights + j * fan_in;
-        for (std::size_t i = 0; i < fan_in; ++i) acc += row[i] * in[i];
-        pre[j] = acc;
-    }
-}
-
-void mlp_backprop_delta_scalar(const double* next_weights,
-                               const double* next_delta, std::size_t width,
-                               std::size_t next_fan_out, double* delta) {
-    for (std::size_t j = 0; j < width; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            acc += next_weights[k * width + j] * next_delta[k];
-        }
-        delta[j] = acc;
-    }
-}
-
-void mlp_sgd_layer_scalar(double* weights, double* velocity, const double* in,
-                          const double* deltas, std::size_t fan_in,
-                          std::size_t fan_out, double lr, double momentum,
-                          double weight_decay) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double d = deltas[j];
-        double* row = weights + j * fan_in;
-        double* vel = velocity + j * fan_in;
-        for (std::size_t i = 0; i < fan_in; ++i) {
-            const double grad = d * in[i] + weight_decay * row[i];
-            vel[i] = momentum * vel[i] - lr * grad;
-            row[i] += vel[i];
-        }
-    }
+void mlp_train_batch_scalar(const MlpBatch& batch, MlpBatchJob* jobs,
+                            std::size_t count, MlpScratch& scratch) {
+    mlp_train_batch_vec<VecScalar>(batch, jobs, count, scratch);
 }
 
 }  // namespace
@@ -119,11 +88,22 @@ const KernelTable& scalar_kernel_table() {
         dtw_distance_scalar,
         /*dtw_batch_width=*/1,
         dtw_distance_batch_scalar,
-        mlp_forward_layer_scalar,
-        mlp_backprop_delta_scalar,
-        mlp_sgd_layer_scalar,
+        mlp_train_batch_scalar,
     };
     return table;
+}
+
+double mlp_predict(const MlpShape& shape, const double* params,
+                   const double* inputs, MlpScratch& scratch) {
+    const MlpOffsets off = mlp_offsets(shape, scratch.offsets);
+    if (scratch.acts.size() < off.acts_total) scratch.acts.resize(off.acts_total);
+    if (scratch.pres.size() < off.units_total) scratch.pres.resize(off.units_total);
+    const auto in = static_cast<std::size_t>(shape.layer_sizes[0]);
+    std::copy(inputs, inputs + in, scratch.acts.begin());
+    const std::size_t lane = 0;
+    mlp_forward_lanes<VecScalar>(shape, off, params, scratch.acts.data(),
+                                 scratch.pres.data(), &lane, 1);
+    return scratch.acts[off.acts_total - 1];
 }
 
 }  // namespace atm::simd

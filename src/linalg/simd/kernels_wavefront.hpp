@@ -7,7 +7,6 @@
 //   V::zero() / V::set1(x)         broadcast constructors
 //   V::loadu(p) / V::storeu(p, r)  unaligned load/store
 //   V::add / V::sub / V::mul / V::min   lane-wise arithmetic
-//   V::hsum(r)                     horizontal sum (forward layer only)
 // Each ISA translation unit (kernels_avx2.cpp, …) defines its traits and
 // instantiates these templates under the matching target flags; this
 // header itself must stay ISA-agnostic. All remainder lanes fall back to
@@ -24,9 +23,11 @@
 // finite inputs (see simd.hpp's tolerance policy).
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "linalg/simd/simd.hpp"
@@ -225,76 +226,402 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
     for (std::size_t b = 0; b < count; ++b) out[b] = prev[m * kW + b];
 }
 
-template <typename V>
-void mlp_forward_layer_vec(const double* weights, const double* biases,
-                           const double* in, std::size_t fan_in,
-                           std::size_t fan_out, double* pre) {
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double* row = weights + j * fan_in;
-        auto accv = V::zero();
-        std::size_t i = 0;
-        for (; i + V::kWidth <= fan_in; i += V::kWidth) {
-            accv = V::add(accv, V::mul(V::loadu(row + i), V::loadu(in + i)));
+/// One-lane "vector" traits: the generic MLP kernels' per-lane sequence
+/// on plain doubles (the scalar table's trainer, and any table's lone
+/// network).
+struct VecScalar {
+    static constexpr std::size_t kWidth = 1;
+    using Reg = double;
+    static Reg zero() { return 0.0; }
+    static Reg set1(double x) { return x; }
+    static Reg loadu(const double* p) { return *p; }
+    static void storeu(double* p, Reg r) { *p = r; }
+    static Reg add(Reg a, Reg b) { return a + b; }
+    static Reg sub(Reg a, Reg b) { return a - b; }
+    static Reg mul(Reg a, Reg b) { return a * b; }
+};
+
+inline double mlp_activate(MlpActivation activation, double x) {
+    switch (activation) {
+        case MlpActivation::kTanh: return std::tanh(x);
+        case MlpActivation::kRelu: return x > 0.0 ? x : 0.0;
+        case MlpActivation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
+    }
+    return x;
+}
+
+/// Per-layer offsets into the lane buffers, in lane-free units (multiply
+/// by the lane width): acts offset of layer l, pres/deltas offset of
+/// weight layer l's units, params offset of weight layer l.
+struct MlpOffsets {
+    const std::size_t* act;
+    const std::size_t* unit;
+    const std::size_t* param;
+    std::size_t acts_total;
+    std::size_t units_total;
+    std::size_t params_total;
+};
+
+inline MlpOffsets mlp_offsets(const MlpShape& shape, ScratchIdxVec& buf) {
+    const std::size_t n = shape.num_layers;
+    if (buf.size() < 3 * n) buf.resize(3 * n);
+    std::size_t* act = buf.data();
+    std::size_t* unit = act + n;
+    std::size_t* param = unit + n;
+    std::size_t a = 0;
+    std::size_t u = 0;
+    std::size_t p = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+        act[l] = a;
+        a += static_cast<std::size_t>(shape.layer_sizes[l]);
+        if (l + 1 < n) {
+            const auto fan_in = static_cast<std::size_t>(shape.layer_sizes[l]);
+            const auto fan_out =
+                static_cast<std::size_t>(shape.layer_sizes[l + 1]);
+            unit[l] = u;
+            param[l] = p;
+            u += fan_out;
+            p += fan_out * (fan_in + 1);
         }
-        // Lane partials + horizontal sum reassociate the dot product —
-        // the one place the tolerance policy allows ULP drift.
-        double acc = biases[j] + V::hsum(accv);
-        for (; i < fan_in; ++i) acc += row[i] * in[i];
-        pre[j] = acc;
+    }
+    return MlpOffsets{act, unit, param, a, u, p};
+}
+
+/// One layer of mlp_forward_lanes (the buffers never overlap).
+template <typename V>
+void mlp_forward_layer_lanes(const double* __restrict w,
+                             const double* __restrict in,
+                             double* __restrict pre, double* __restrict out,
+                             std::size_t fan_in, std::size_t fan_out,
+                             bool hidden, MlpActivation activation,
+                             const std::size_t* live, std::size_t num_live) {
+    constexpr std::size_t kW = V::kWidth;
+    const double* bias = w + fan_out * fan_in * kW;
+    for (std::size_t j = 0; j < fan_out; ++j) {
+        auto acc = V::loadu(bias + j * kW);
+        const double* row = w + j * fan_in * kW;
+        for (std::size_t i = 0; i < fan_in; ++i) {
+            acc = V::add(acc, V::mul(V::loadu(row + i * kW), V::loadu(in + i * kW)));
+        }
+        V::storeu(pre + j * kW, acc);
+        if (!hidden) V::storeu(out + j * kW, acc);  // linear output unit
+    }
+    if (!hidden) return;
+    // Activations after the layer's vector work, so no vector state is
+    // live across the (caller-clobbering) libm calls.
+    for (std::size_t j = 0; j < fan_out; ++j) {
+        for (std::size_t k = 0; k < num_live; ++k) {
+            const std::size_t b = live[k];
+            out[j * kW + b] = mlp_activate(activation, pre[j * kW + b]);
+        }
     }
 }
 
+/// Forward pass of V::kWidth lane-interleaved networks (element e of lane
+/// b at buf[e * kWidth + b]). The first layer_sizes[0] activations hold
+/// the inputs. Per lane this is the scalar sequence: pre = bias, then
+/// pre += w[i] * in[i] for ascending i, unfused; hidden units then take
+/// the scalar activation, evaluated only on the `num_live` lanes listed
+/// in `live` (other lanes keep stale, finite values nobody reads).
 template <typename V>
-void mlp_backprop_delta_vec(const double* next_weights,
-                            const double* next_delta, std::size_t width,
-                            std::size_t next_fan_out, double* delta) {
-    // Vectorized across j; each lane accumulates its own element in the
-    // same ascending-k order as the scalar loop → bit-identical.
-    std::size_t j = 0;
-    for (; j + V::kWidth <= width; j += V::kWidth) {
-        auto accv = V::zero();
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            accv = V::add(accv, V::mul(V::loadu(next_weights + k * width + j),
-                                       V::set1(next_delta[k])));
-        }
-        V::storeu(delta + j, accv);
-    }
-    for (; j < width; ++j) {
-        double acc = 0.0;
-        for (std::size_t k = 0; k < next_fan_out; ++k) {
-            acc += next_weights[k * width + j] * next_delta[k];
-        }
-        delta[j] = acc;
+void mlp_forward_lanes(const MlpShape& shape, const MlpOffsets& off,
+                       const double* params, double* acts, double* pres,
+                       const std::size_t* live, std::size_t num_live) {
+    constexpr std::size_t kW = V::kWidth;
+    for (std::size_t l = 0; l + 1 < shape.num_layers; ++l) {
+        mlp_forward_layer_lanes<V>(
+            params + off.param[l] * kW, acts + off.act[l] * kW,
+            pres + off.unit[l] * kW, acts + off.act[l + 1] * kW,
+            static_cast<std::size_t>(shape.layer_sizes[l]),
+            static_cast<std::size_t>(shape.layer_sizes[l + 1]),
+            l + 2 < shape.num_layers, shape.activation, live, num_live);
     }
 }
 
+/// Hidden-layer backprop on lane-interleaved buffers (never overlapping):
+/// delta[j] = (Σ_k next_w[k*width + j] * next_delta[k], k ascending from
+/// 0.0) × the activation gradient at (act[j], pre[j]).
 template <typename V>
-void mlp_sgd_layer_vec(double* weights, double* velocity, const double* in,
-                       const double* deltas, std::size_t fan_in,
-                       std::size_t fan_out, double lr, double momentum,
-                       double weight_decay) {
-    const auto lrv = V::set1(lr);
-    const auto mov = V::set1(momentum);
-    const auto wdv = V::set1(weight_decay);
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        const double d = deltas[j];
-        const auto dv = V::set1(d);
-        double* row = weights + j * fan_in;
-        double* vel = velocity + j * fan_in;
-        std::size_t i = 0;
-        for (; i + V::kWidth <= fan_in; i += V::kWidth) {
-            const auto rowv = V::loadu(row + i);
-            const auto gradv =
-                V::add(V::mul(dv, V::loadu(in + i)), V::mul(wdv, rowv));
-            const auto velv =
-                V::sub(V::mul(mov, V::loadu(vel + i)), V::mul(lrv, gradv));
-            V::storeu(vel + i, velv);
-            V::storeu(row + i, V::add(rowv, velv));
+void mlp_backprop_layer_lanes(const double* __restrict next_w,
+                              const double* __restrict next_delta,
+                              const double* __restrict act,
+                              const double* __restrict pre,
+                              double* __restrict delta, std::size_t width,
+                              std::size_t next_fan_out,
+                              MlpActivation activation) {
+    constexpr std::size_t kW = V::kWidth;
+    const auto one = V::set1(1.0);
+    for (std::size_t j = 0; j < width; ++j) {
+        auto acc = V::zero();
+        for (std::size_t k = 0; k < next_fan_out; ++k) {
+            acc = V::add(acc, V::mul(V::loadu(next_w + (k * width + j) * kW),
+                                     V::loadu(next_delta + k * kW)));
         }
-        for (; i < fan_in; ++i) {
-            const double grad = d * in[i] + weight_decay * row[i];
-            vel[i] = momentum * vel[i] - lr * grad;
-            row[i] += vel[i];
+        const auto a = V::loadu(act + j * kW);
+        switch (activation) {
+            case MlpActivation::kTanh:
+                acc = V::mul(acc, V::sub(one, V::mul(a, a)));
+                break;
+            case MlpActivation::kSigmoid:
+                acc = V::mul(acc, V::mul(a, V::sub(one, a)));
+                break;
+            case MlpActivation::kRelu: {
+                alignas(64) std::array<double, kW> grad;
+                for (std::size_t b = 0; b < kW; ++b) {
+                    grad[b] = pre[j * kW + b] > 0.0 ? 1.0 : 0.0;
+                }
+                acc = V::mul(acc, V::loadu(grad.data()));
+                break;
+            }
+        }
+        V::storeu(delta + j * kW, acc);
+    }
+}
+
+/// One layer's SGD + momentum update on lane-interleaved buffers (the
+/// arrays never overlap): per lane and weight, grad = delta*in +
+/// weight_decay*w; vel = momentum*vel − lr*grad; w += vel; then the
+/// biases with grad = delta.
+template <typename V>
+void mlp_sgd_layer_lanes(double* __restrict w, double* __restrict v,
+                         const double* __restrict in,
+                         const double* __restrict delta, std::size_t fan_in,
+                         std::size_t fan_out, typename V::Reg lr,
+                         typename V::Reg momentum, typename V::Reg decay) {
+    constexpr std::size_t kW = V::kWidth;
+    double* __restrict bias = w + fan_out * fan_in * kW;
+    double* __restrict bias_v = v + fan_out * fan_in * kW;
+    for (std::size_t j = 0; j < fan_out; ++j) {
+        const auto d = V::loadu(delta + j * kW);
+        double* row = w + j * fan_in * kW;
+        double* vel = v + j * fan_in * kW;
+        for (std::size_t i = 0; i < fan_in; ++i) {
+            const auto wi = V::loadu(row + i * kW);
+            const auto grad =
+                V::add(V::mul(d, V::loadu(in + i * kW)), V::mul(decay, wi));
+            const auto vi =
+                V::sub(V::mul(momentum, V::loadu(vel + i * kW)), V::mul(lr, grad));
+            V::storeu(vel + i * kW, vi);
+            V::storeu(row + i * kW, V::add(wi, vi));
+        }
+        const auto bv =
+            V::sub(V::mul(momentum, V::loadu(bias_v + j * kW)), V::mul(lr, d));
+        V::storeu(bias_v + j * kW, bv);
+        V::storeu(bias + j * kW, V::add(V::loadu(bias + j * kW), bv));
+    }
+}
+
+/// Lane-batched MLP training (KernelTable::mlp_train_batch): one network
+/// per SIMD lane, every lane stepping through the same row *position* of
+/// its own shuffle order in lockstep. Lanes differ only in data — their
+/// rows, targets, seeds, learning rates and stopping state — never in
+/// control flow inside an epoch, and all per-lane arithmetic is the
+/// scalar sequence documented on MlpBatchJob, so each network comes out
+/// bit-identical to training it alone. Early stopping is a lane mask:
+/// a finished lane's network is written back once and the lane is
+/// refilled with the next pending job at the same epoch boundary; with
+/// nothing left to load it idles on zeroed parameters (and zero rates)
+/// so its arithmetic stays finite and cheap. With kWidth == 1 this is
+/// the plain one-network-at-a-time loop of the scalar table, which
+/// every table also uses for a batch of one.
+template <typename V>
+void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
+                         std::size_t count, MlpScratch& scratch) {
+    if constexpr (V::kWidth > 1) {
+        // A lone network has no lane-mates: train it one lane wide (the
+        // same per-lane sequence, minus the idle lanes' vector work).
+        if (count == 1) {
+            mlp_train_batch_vec<VecScalar>(batch, jobs, count, scratch);
+            return;
+        }
+    }
+    constexpr std::size_t kW = V::kWidth;
+    constexpr std::size_t kIdle = static_cast<std::size_t>(-1);
+    const MlpShape& shape = batch.shape;
+    const MlpOffsets off = mlp_offsets(shape, scratch.offsets);
+    const auto inputs = static_cast<std::size_t>(shape.layer_sizes[0]);
+    const std::size_t rows = batch.rows;
+    const std::size_t train_rows = batch.train_rows;
+    const std::size_t val_rows = rows - train_rows;
+    const std::size_t out_unit = off.units_total - 1;
+    const std::size_t out_act = off.acts_total - 1;
+
+    const auto zeroed = [](ScratchVec& buf, std::size_t size) {
+        if (buf.size() < size) buf.resize(size);
+        std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(size),
+                  0.0);
+        return buf.data();
+    };
+    double* params = zeroed(scratch.params, off.params_total * kW);
+    double* velocity = zeroed(scratch.velocity, off.params_total * kW);
+    double* acts = zeroed(scratch.acts, off.acts_total * kW);
+    double* pres = zeroed(scratch.pres, off.units_total * kW);
+    double* deltas = zeroed(scratch.deltas, off.units_total * kW);
+    if (scratch.order.size() < train_rows * kW) {
+        scratch.order.resize(train_rows * kW);
+    }
+    std::size_t* orders = scratch.order.data();
+
+    std::array<std::size_t, kW> job_of{};
+    std::array<std::mt19937, kW> rngs;
+    alignas(64) std::array<double, kW> lr{};
+    alignas(64) std::array<double, kW> momentum{};
+    alignas(64) std::array<double, kW> weight_decay{};
+    alignas(64) std::array<double, kW> target{};
+    alignas(64) std::array<double, kW> sums{};
+    std::array<double, kW> best{};
+    std::array<int, kW> since_best{};
+    std::array<std::size_t, kW> live{};
+    std::size_t num_live = 0;
+    const double empty_loss =
+        val_rows > 0 ? std::numeric_limits<double>::infinity() : 0.0;
+
+    // Stores lane b's network back into its job and parks the lane on
+    // zeroed parameters and rates.
+    const auto unload = [&](std::size_t b) {
+        MlpBatchJob& job = jobs[job_of[b]];
+        for (std::size_t e = 0; e < off.params_total; ++e) {
+            job.params[e] = params[e * kW + b];
+            job.velocity[e] = velocity[e * kW + b];
+            params[e * kW + b] = 0.0;
+            velocity[e * kW + b] = 0.0;
+        }
+        lr[b] = 0.0;
+        momentum[b] = 0.0;
+        weight_decay[b] = 0.0;
+        job_of[b] = kIdle;
+    };
+    std::size_t next = 0;
+    // Loads the next pending job with epochs to run into lane b (jobs
+    // with none finish untouched), or leaves the lane idle.
+    const auto refill = [&](std::size_t b) {
+        while (next < count) {
+            MlpBatchJob& job = jobs[next];
+            job.epochs_run = 0;
+            job.loss = empty_loss;
+            if (job.epochs <= 0) {
+                ++next;
+                continue;
+            }
+            job_of[b] = next++;
+            for (std::size_t e = 0; e < off.params_total; ++e) {
+                params[e * kW + b] = job.params[e];
+                velocity[e * kW + b] = job.velocity[e];
+            }
+            lr[b] = job.learning_rate;
+            momentum[b] = job.momentum;
+            weight_decay[b] = job.weight_decay;
+            best[b] = std::numeric_limits<double>::infinity();
+            since_best[b] = 0;
+            rngs[b].seed(job.seed);
+            std::size_t* order = orders + b * train_rows;
+            for (std::size_t k = 0; k < train_rows; ++k) order[k] = k;
+            return;
+        }
+        job_of[b] = kIdle;
+    };
+    // Copies row `row` of every live lane's own dataset (for lane b, row
+    // `rows_of(b)`) into the input activations and the target slots.
+    const auto gather = [&](auto rows_of) {
+        for (std::size_t k = 0; k < num_live; ++k) {
+            const std::size_t b = live[k];
+            const MlpBatchJob& job = jobs[job_of[b]];
+            const std::size_t row = rows_of(b);
+            const double* x = job.features + row * inputs;
+            for (std::size_t i = 0; i < inputs; ++i) acts[i * kW + b] = x[i];
+            target[b] = job.targets[row];
+        }
+    };
+
+    for (std::size_t b = 0; b < kW; ++b) refill(b);
+    while (true) {
+        num_live = 0;
+        for (std::size_t b = 0; b < kW; ++b) {
+            if (job_of[b] != kIdle) live[num_live++] = b;
+        }
+        if (num_live == 0) break;
+        // Top of epoch, per live lane: hook, count, reshuffle.
+        for (std::size_t k = 0; k < num_live; ++k) {
+            const std::size_t b = live[k];
+            if (batch.on_epoch != nullptr) batch.on_epoch(batch.context, job_of[b]);
+            ++jobs[job_of[b]].epochs_run;
+            std::size_t* order = orders + b * train_rows;
+            std::shuffle(order, order + train_rows, rngs[b]);
+        }
+
+        const auto lrv = V::loadu(lr.data());
+        const auto mov = V::loadu(momentum.data());
+        const auto wdv = V::loadu(weight_decay.data());
+        auto loss = V::zero();
+        for (std::size_t step = 0; step < train_rows; ++step) {
+            gather([&](std::size_t b) { return orders[b * train_rows + step]; });
+            mlp_forward_lanes<V>(shape, off, params, acts, pres, live.data(),
+                                 num_live);
+            const auto err =
+                V::sub(V::loadu(acts + out_act * kW), V::loadu(target.data()));
+            loss = V::add(loss, V::mul(err, err));
+
+            // Backprop: the output delta is the plain error (linear
+            // output, MSE); hidden deltas are the ascending-k weighted
+            // sums times the activation gradient.
+            V::storeu(deltas + out_unit * kW, err);
+            for (std::size_t l = shape.num_layers - 2; l-- > 0;) {
+                mlp_backprop_layer_lanes<V>(
+                    params + off.param[l + 1] * kW, deltas + off.unit[l + 1] * kW,
+                    acts + off.act[l + 1] * kW, pres + off.unit[l] * kW,
+                    deltas + off.unit[l] * kW,
+                    static_cast<std::size_t>(shape.layer_sizes[l + 1]),
+                    static_cast<std::size_t>(shape.layer_sizes[l + 2]),
+                    shape.activation);
+            }
+            // SGD + momentum, every layer after all deltas are known.
+            for (std::size_t l = 0; l + 1 < shape.num_layers; ++l) {
+                mlp_sgd_layer_lanes<V>(
+                    params + off.param[l] * kW, velocity + off.param[l] * kW,
+                    acts + off.act[l] * kW, deltas + off.unit[l] * kW,
+                    static_cast<std::size_t>(shape.layer_sizes[l]),
+                    static_cast<std::size_t>(shape.layer_sizes[l + 1]), lrv,
+                    mov, wdv);
+            }
+        }
+        V::storeu(sums.data(), loss);
+        alignas(64) std::array<double, kW> train_loss = sums;
+
+        if (val_rows > 0) {
+            auto val = V::zero();
+            for (std::size_t row = train_rows; row < rows; ++row) {
+                gather([row](std::size_t) { return row; });
+                mlp_forward_lanes<V>(shape, off, params, acts, pres,
+                                     live.data(), num_live);
+                const auto err = V::sub(V::loadu(acts + out_act * kW),
+                                        V::loadu(target.data()));
+                val = V::add(val, V::mul(err, err));
+            }
+            V::storeu(sums.data(), val);
+        }
+
+        // Epoch end, per live lane: decay, early stopping, refill.
+        for (std::size_t k = 0; k < num_live; ++k) {
+            const std::size_t b = live[k];
+            MlpBatchJob& job = jobs[job_of[b]];
+            lr[b] *= job.lr_decay;
+            bool stop = false;
+            if (val_rows > 0) {
+                const double v = sums[b] / static_cast<double>(val_rows);
+                if (v < best[b] - 1e-12) {
+                    best[b] = v;
+                    since_best[b] = 0;
+                } else if (++since_best[b] >= job.patience) {
+                    stop = true;
+                }
+                job.loss = best[b];
+            } else {
+                job.loss = train_loss[b] / static_cast<double>(train_rows);
+            }
+            if (stop || job.epochs_run >= job.epochs) {
+                unload(b);
+                refill(b);
+            }
         }
     }
 }

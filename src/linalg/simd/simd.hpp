@@ -8,8 +8,7 @@
 #include "exec/arena.hpp"
 
 /// Runtime-dispatched SIMD kernels for the two pipeline hot loops: the
-/// banded DTW recurrence and the MLP forward/backward/update passes
-/// (DESIGN.md §7.13).
+/// banded DTW recurrence and MLP training (DESIGN.md §7.13).
 ///
 /// Dispatch model: every binary carries the scalar reference kernels plus
 /// whichever vector translation units the target architecture compiles
@@ -19,27 +18,21 @@
 /// kernel call goes through one function-pointer table, so any path can
 /// be forced for testing, reproduction, and differential comparison.
 ///
-/// FP tolerance policy (the contract tests/test_simd.cpp and the golden
-/// suite enforce):
-///   * DTW is **bit-identical on every path**. The single-pair vector
-///     kernel walks anti-diagonal wavefronts instead of rows, and the
-///     batched kernel runs the row recurrence with one pair per lane;
-///     both evaluate exactly the per-cell expression of the scalar
-///     recurrence — one multiply, one three-way min, one add, never
-///     fused (-ffp-contract=off) — and FP min/add per cell are
-///     order-free here because each cell's operands are the same three
-///     cells in every traversal.
-///   * MLP backprop deltas and SGD/momentum updates are **bit-identical**:
-///     they vectorize across units/weights while keeping each element's
-///     accumulation order unchanged.
-///   * MLP forward dot-products **reassociate** (lane-partial sums +
-///     horizontal reduce): each layer's pre-activation may differ from
-///     scalar by a few ULP (kMlpForwardMaxUlps bounds one call on
-///     well-scaled inputs). Training then amplifies that seed difference
-///     chaotically across epochs, so end-to-end forecasts on vectorized
-///     paths are pinned by the tolerance-checked golden variant
-///     (kGoldenMaxUlps + exact ticket counts) rather than byte identity;
-///     the scalar path stays byte-identical to the checked-in golden.
+/// FP policy (the contract tests/test_simd.cpp and the golden suite
+/// enforce): every kernel is **bit-identical on every path**, so results
+/// never depend on the machine's best ISA.
+///   * DTW: the single-pair vector kernel walks anti-diagonal wavefronts
+///     instead of rows, and the batched kernel runs the row recurrence
+///     with one pair per lane; both evaluate exactly the per-cell
+///     expression of the scalar recurrence — one multiply, one three-way
+///     min, one add, never fused (-ffp-contract=off) — and FP min/add per
+///     cell are order-free here because each cell's operands are the same
+///     three cells in every traversal.
+///   * MLP: vector paths train one network per SIMD lane. Each lane runs
+///     the scalar operation sequence — ascending-index dot products
+///     seeded with the bias, unfused multiply/add, glibc's scalar
+///     activation called per lane — so nothing is ever reassociated and
+///     every lane's weights equal a one-network scalar run bit for bit.
 namespace atm::simd {
 
 /// Instruction-set paths a build may carry. kScalar is always compiled
@@ -91,6 +84,109 @@ struct DtwScratch {
     ScratchIdxVec jhi;
 };
 
+/// Hidden-unit activation of an MLP (forecast::Activation is this type).
+enum class MlpActivation : int {
+    kTanh,
+    kRelu,
+    kSigmoid,
+};
+
+/// Topology shared by every network of one lane batch. A network's
+/// parameters live in one flat array: for each weight layer l in order,
+/// its fan_out × fan_in weights (weights[j * fan_in + i] from input i to
+/// unit j) followed by its fan_out biases. Velocities use the same
+/// layout. The output layer is linear; hidden layers use `activation`.
+struct MlpShape {
+    const int* layer_sizes = nullptr;  ///< {inputs, hidden..., outputs}
+    std::size_t num_layers = 0;        ///< entries of layer_sizes, >= 2
+    MlpActivation activation = MlpActivation::kTanh;
+};
+
+/// Flat parameter count of one network of `shape` (weights + biases).
+inline std::size_t mlp_parameter_count(const MlpShape& shape) {
+    std::size_t count = 0;
+    for (std::size_t l = 0; l + 1 < shape.num_layers; ++l) {
+        const auto fan_in = static_cast<std::size_t>(shape.layer_sizes[l]);
+        const auto fan_out = static_cast<std::size_t>(shape.layer_sizes[l + 1]);
+        count += fan_out * (fan_in + 1);
+    }
+    return count;
+}
+
+/// What every job of one mlp_train_batch call shares: the shape (single
+/// output unit) and the row split of its equally long datasets.
+struct MlpBatch {
+    MlpShape shape;
+    std::size_t rows = 0;        ///< examples per job, > 0
+    /// Leading rows trained on, in (0, rows]; the trailing rows
+    /// (chronologically last) are the early-stopping validation set.
+    std::size_t train_rows = 0;
+    /// Called at the top of each epoch of job `job` (before its shuffle);
+    /// may throw, which abandons the whole batch mid-flight (cooperative
+    /// cancellation). Null disables the hook.
+    void (*on_epoch)(void* context, std::size_t job) = nullptr;
+    void* context = nullptr;
+};
+
+/// One network of a lane batch and its training options. Per network the
+/// kernel runs: order = 0..train_rows−1, rng = mt19937(seed), lr =
+/// learning_rate; each epoch (at most `epochs`) calls on_epoch, shuffles
+/// `order` in place with rng, and for each row runs forward, MSE
+/// backprop of err = out − target, and per layer the SGD+momentum update
+///   grad = delta*in + weight_decay*w;  vel = momentum*vel − lr*grad;
+///   w += vel;  bias_vel = momentum*bias_vel − lr*delta;  b += bias_vel
+/// then lr *= lr_decay; with validation rows it stops once the mean
+/// validation error has not improved by more than 1e-12 for `patience`
+/// consecutive epochs. Final weights are kept (not the best epoch's).
+struct MlpBatchJob {
+    double* params = nullptr;          ///< in/out, MlpShape layout
+    double* velocity = nullptr;        ///< in/out, MlpShape layout
+    const double* features = nullptr;  ///< rows × inputs, row-major
+    const double* targets = nullptr;   ///< rows
+    int epochs = 0;
+    double learning_rate = 0.0;
+    double momentum = 0.0;
+    double lr_decay = 1.0;
+    double weight_decay = 0.0;
+    int patience = 0;
+    unsigned seed = 0;
+    int epochs_run = 0;  ///< out
+    /// Out: best validation MSE, or the last epoch's training MSE when
+    /// the batch has no validation rows.
+    double loss = 0.0;
+};
+
+/// Reusable MLP scratch, grown on demand and never shrunk, so a reused
+/// scratch trains and predicts allocation-free. Lane buffers are
+/// interleaved (`buf[element * width + lane]`); `order` holds each lane's
+/// shuffle order contiguously. Not thread-safe: one per thread/task.
+struct MlpScratch {
+    MlpScratch() = default;
+    /// Arena-backed scratch (exec/arena.hpp lifetime rules apply).
+    explicit MlpScratch(exec::Arena* arena)
+        : params(exec::ArenaAllocator<double>(arena)),
+          velocity(exec::ArenaAllocator<double>(arena)),
+          acts(exec::ArenaAllocator<double>(arena)),
+          pres(exec::ArenaAllocator<double>(arena)),
+          deltas(exec::ArenaAllocator<double>(arena)),
+          order(exec::ArenaAllocator<std::size_t>(arena)),
+          offsets(exec::ArenaAllocator<std::size_t>(arena)) {}
+
+    ScratchVec params;
+    ScratchVec velocity;
+    ScratchVec acts;    ///< activations, every layer incl. the inputs
+    ScratchVec pres;    ///< pre-activations, layers 1..L
+    ScratchVec deltas;  ///< backprop deltas, layers 1..L
+    ScratchIdxVec order;
+    ScratchIdxVec offsets;  ///< per-layer acts/unit/param offsets
+};
+
+/// Output of one network of `shape` on `inputs` (layer_sizes[0] values).
+/// The same forward pass, per lane, as the training kernels on every
+/// path, so a prediction never depends on the dispatched path.
+double mlp_predict(const MlpShape& shape, const double* params,
+                   const double* inputs, MlpScratch& scratch);
+
 /// The per-path kernel table. All pointers are non-null in every
 /// registered table.
 struct KernelTable {
@@ -124,45 +220,17 @@ struct KernelTable {
                                std::size_t n, std::size_t m, int band,
                                DtwScratch& scratch, double* out);
 
-    /// One MLP layer's pre-activations: pre[j] = biases[j] +
-    /// dot(weights[j*fan_in ..], in) for j in [0, fan_out). The dot
-    /// product may reassociate (see tolerance policy above); the caller
-    /// applies the activation.
-    void (*mlp_forward_layer)(const double* weights, const double* biases,
-                              const double* in, std::size_t fan_in,
-                              std::size_t fan_out, double* pre);
-
-    /// Raw backprop sums: delta[j] = sum_k next_weights[k*width + j] *
-    /// next_delta[k], k ascending — bit-identical to scalar (the k-order
-    /// per element is preserved; vectorization is across j). The caller
-    /// multiplies by the activation gradient.
-    void (*mlp_backprop_delta)(const double* next_weights,
-                               const double* next_delta, std::size_t width,
-                               std::size_t next_fan_out, double* delta);
-
-    /// One layer's SGD + momentum weight update (biases stay with the
-    /// caller): for each unit j and input i,
-    ///   grad = deltas[j]*in[i] + weight_decay*w[j*fan_in+i]
-    ///   vel  = momentum*vel - lr*grad;  w += vel
-    /// Element-wise with unchanged per-element order: bit-identical.
-    void (*mlp_sgd_layer)(double* weights, double* velocity, const double* in,
-                          const double* deltas, std::size_t fan_in,
-                          std::size_t fan_out, double lr, double momentum,
-                          double weight_decay);
+    /// Lane-batched MLP training: fits every job of `jobs[0..count)`
+    /// (all sharing `batch`'s shape and row split) with per-sample SGD +
+    /// momentum, keeping at most one network per SIMD lane in flight and
+    /// refilling a lane with the next pending job at the epoch boundary
+    /// where its network stops. Each job's parameters, velocities,
+    /// epochs_run and loss end bit-identical to a one-job scalar call
+    /// (see MlpBatchJob for the per-network algorithm). The scalar table
+    /// trains the jobs one after another.
+    void (*mlp_train_batch)(const MlpBatch& batch, MlpBatchJob* jobs,
+                            std::size_t count, MlpScratch& scratch);
 };
-
-/// Documented differential bounds (see tolerance policy above).
-/// One forward-layer call on well-scaled inputs (|weights| ≲ 1, |acts|
-/// ≲ a few): lane-partitioned summation of L terms perturbs the dot
-/// product by at most ~L·eps relative to the term magnitudes, far below
-/// this bound; the slack covers cancellation-heavy draws.
-inline constexpr std::uint64_t kMlpForwardMaxUlps = 4096;
-/// End-to-end golden bound for vectorized paths: APE aggregates after
-/// full MLP training runs. Training chaotically amplifies the per-call
-/// reassociation seed, so this is an empirical envelope (measured ≲1e-9
-/// relative on the golden scenario) — ticket counts, signatures, and DTW
-/// counters must still match *exactly*.
-inline constexpr std::uint64_t kGoldenMaxUlps = std::uint64_t{1} << 32;
 
 /// ULP distance between two finite doubles (0 when bit-equal, including
 /// across ±0.0); max() when either is NaN or they differ in sign.

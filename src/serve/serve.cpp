@@ -10,6 +10,7 @@
 
 #include "exec/cancel.hpp"
 #include "exec/seed.hpp"
+#include "forecast/mlp_forecaster.hpp"
 #include "linalg/simd/simd.hpp"
 #include "obs/json.hpp"
 #include "timeseries/resource.hpp"
@@ -18,10 +19,9 @@ namespace atm::serve {
 
 namespace {
 
-/// Lag-feature count of the streaming MLP, matching MlpForecasterOptions
-/// so the serve model is the batch pipeline's temporal model.
-constexpr int kNumLags = 6;
-constexpr int kHiddenUnits = 12;
+/// The streaming MLP is the batch pipeline's temporal model: same lags,
+/// hidden layers and activation (its seasonal lag is the trace's day).
+const forecast::MlpForecasterOptions kMlp{};
 
 // FNV-1a field mixers, same chain discipline as the fleet digests (the
 // fleet_journal.cpp helpers are file-local by design — digests must not
@@ -730,6 +730,7 @@ bool ServeEngine::run_search(int box_index,
         const std::uint64_t box_seed =
             exec::derive_seed(config_.pipeline.seed,
                               static_cast<std::uint64_t>(box_index));
+        pending_.clear();
         for (std::size_t k = 0; k < signatures.size(); ++k) {
             const auto series = static_cast<std::size_t>(signatures[k]);
             const std::uint64_t sig_seed =
@@ -737,6 +738,7 @@ bool ServeEngine::run_search(int box_index,
             cold_fit(models[k], box.history[series], sig_seed, &scratch, slo);
             scratch.add("serve.retrain.cold");
         }
+        train_queued();
         box.signatures = std::move(signatures);
         box.spatial = std::move(spatial);
         box.models = std::move(models);
@@ -759,8 +761,11 @@ bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
     try {
         // Staged copies: a cancelled retrain must leave the previous
         // weights exactly as they were (replay skips the whole stage).
+        // Every network (warm continuations and rescaling cold refits
+        // alike) trains in one lane batch once all are queued.
         std::vector<WarmModel> updated;
         updated.reserve(box.models.size());
+        pending_.clear();
         for (std::size_t k = 0; k < box.models.size(); ++k) {
             const WarmModel& current = box.models[k];
             const auto series = static_cast<std::size_t>(box.signatures[k]);
@@ -788,25 +793,14 @@ bool ServeEngine::run_retrain(int box_index, std::uint64_t epoch,
                 next.scaler = current.scaler;
                 next.degenerate = false;
                 next.net = std::make_unique<forecast::MlpNetwork>(*current.net);
-                const std::vector<double> scaled =
-                    current.scaler.transform(history);
-                ts::make_lag_dataset_flat(scaled, kNumLags, windows_per_day_,
-                                          features_, targets_);
-                if (features_.rows() >= 4) {
-                    forecast::MlpTrainOptions options;
-                    options.epochs = config_.retrain_epochs;
-                    options.seed = static_cast<unsigned>(
-                        exec::derive_seed(sig_seed, epoch + 1));
-                    options.metrics = &scratch;
-                    options.cancel = slo;
-                    next.net->train(
-                        features_, targets_, options,
-                        config_.workspace != nullptr ? &config_.workspace->mlp
-                                                     : nullptr);
-                }
+                queue_fit(*next.net, current.scaler.transform(history),
+                          config_.retrain_epochs,
+                          exec::derive_seed(sig_seed, epoch + 1), &scratch,
+                          slo);
             }
             updated.push_back(std::move(next));
         }
+        train_queued();
         box.models = std::move(updated);
         metrics_.merge(scratch.snapshot());
         return true;
@@ -829,30 +823,62 @@ void ServeEngine::cold_fit(WarmModel& model,
     model.scaler.fit(history);
     const auto [lo_it, hi_it] =
         std::minmax_element(history.begin(), history.end());
-    const std::vector<double> scaled = model.scaler.transform(history);
-    ts::make_lag_dataset_flat(scaled, kNumLags, windows_per_day_, features_,
-                              targets_);
-    if (features_.rows() < 4 || *hi_it - *lo_it < 1e-12) {
-        model.degenerate = true;
-        model.net.reset();
-        return;
+    std::vector<int> layers{kMlp.num_lags + 1};
+    layers.insert(layers.end(), kMlp.hidden.begin(), kMlp.hidden.end());
+    layers.push_back(1);
+    auto net = std::make_unique<forecast::MlpNetwork>(
+        layers, kMlp.activation, static_cast<unsigned>(sig_seed));
+    const bool queued =
+        *hi_it - *lo_it >= 1e-12 &&
+        queue_fit(*net, model.scaler.transform(history), config_.train_epochs,
+                  sig_seed, scratch, slo);
+    model.degenerate = !queued;
+    if (queued) model.net = std::move(net);
+}
+
+/// Builds the lag dataset of `scaled` into the next free slot and queues
+/// `net` to train on it (train_queued); false, queueing nothing, when
+/// the history is too short for 4 examples.
+bool ServeEngine::queue_fit(forecast::MlpNetwork& net,
+                            const std::vector<double>& scaled, int epochs,
+                            std::uint64_t seed, obs::MetricsRegistry* scratch,
+                            const exec::CancellationToken* slo) {
+    const std::size_t slot = pending_.size();
+    if (features_.size() <= slot) {
+        features_.resize(slot + 1);
+        targets_.resize(slot + 1);
     }
-    model.degenerate = false;
-    model.net = std::make_unique<forecast::MlpNetwork>(
-        std::vector<int>{static_cast<int>(features_.cols()), kHiddenUnits, 1},
-        forecast::Activation::kTanh, static_cast<unsigned>(sig_seed));
-    forecast::MlpTrainOptions options;
-    options.epochs = config_.train_epochs;
-    options.seed = static_cast<unsigned>(sig_seed);
-    options.metrics = scratch;
-    options.cancel = slo;
-    model.net->train(features_, targets_, options,
-                     config_.workspace != nullptr ? &config_.workspace->mlp
-                                                  : nullptr);
+    ts::make_lag_dataset_flat(scaled, kMlp.num_lags, windows_per_day_,
+                              features_[slot], targets_[slot]);
+    if (features_[slot].rows() < 4) return false;
+    forecast::MlpTrainJob job;
+    job.network = &net;
+    job.options.epochs = epochs;
+    job.options.seed = static_cast<unsigned>(seed);
+    job.options.metrics = scratch;
+    job.options.cancel = slo;
+    pending_.push_back(job);
+    return true;
+}
+
+/// Trains every queued network in one lane batch (bitwise the same as
+/// training them one by one) and empties the queue.
+void ServeEngine::train_queued() {
+    for (std::size_t k = 0; k < pending_.size(); ++k) {
+        pending_[k].features = &features_[k];
+        pending_[k].targets = targets_[k];
+    }
+    forecast::MlpNetwork::train_batch(pending_, &mlp_workspace());
+    pending_.clear();
+}
+
+forecast::MlpWorkspace& ServeEngine::mlp_workspace() {
+    return config_.workspace != nullptr ? config_.workspace->mlp
+                                        : mlp_workspace_;
 }
 
 double ServeEngine::predict_one(const WarmModel& model,
-                                const std::vector<double>& history) const {
+                                const std::vector<double>& history) {
     const std::size_t len = history.size();
     if (!model.mlp) {
         // Seasonal naive: repeat the sample one period back.
@@ -860,9 +886,9 @@ double ServeEngine::predict_one(const WarmModel& model,
         return len >= period ? history[len - period] : history.back();
     }
     if (model.degenerate || model.net == nullptr) return history.back();
-    std::vector<double> features;
-    features.reserve(static_cast<std::size_t>(kNumLags) + 1);
-    for (int k = kNumLags; k >= 1; --k) {
+    std::vector<double>& features = predict_features_;
+    features.clear();
+    for (int k = kMlp.num_lags; k >= 1; --k) {
         const auto lag = static_cast<std::size_t>(k);
         features.push_back(model.scaler.transform(
             len >= lag ? history[len - lag] : history.front()));
@@ -870,7 +896,8 @@ double ServeEngine::predict_one(const WarmModel& model,
     const auto period = static_cast<std::size_t>(windows_per_day_);
     features.push_back(model.scaler.transform(
         len >= period ? history[len - period] : history.front()));
-    const double scaled = std::clamp(model.net->predict(features), -0.25, 1.25);
+    const double scaled = std::clamp(
+        model.net->predict(features, mlp_workspace()), -0.25, 1.25);
     return model.scaler.inverse(scaled);
 }
 

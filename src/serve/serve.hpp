@@ -166,13 +166,18 @@ class ServeEngine {
     bool run_retrain(int box_index, std::uint64_t epoch,
                      const exec::CancellationToken* slo);
     [[nodiscard]] double predict_one(const WarmModel& model,
-                                     const std::vector<double>& history) const;
+                                     const std::vector<double>& history);
     void forecast_next(int box_index);
     void resize_window(int box_index, bool max_min_only,
                        const exec::CancellationToken* slo);
     void cold_fit(WarmModel& model, const std::vector<double>& history,
                   std::uint64_t sig_seed, obs::MetricsRegistry* scratch,
                   const exec::CancellationToken* slo);
+    bool queue_fit(forecast::MlpNetwork& net, const std::vector<double>& scaled,
+                   int epochs, std::uint64_t seed, obs::MetricsRegistry* scratch,
+                   const exec::CancellationToken* slo);
+    void train_queued();
+    forecast::MlpWorkspace& mlp_workspace();
     void record_retry(int attempts, int ladder);
     void counter(const std::string& name, std::uint64_t delta = 1);
 
@@ -185,9 +190,14 @@ class ServeEngine {
     obs::MetricsSnapshot metrics_;
     std::optional<exec::JournalWriter> journal_;
     bool resumed_ = false;
-    /// Scratch reused across windows (lag datasets, staging).
-    la::FlatMatrix features_;
-    std::vector<double> targets_;
+    /// One box's pending network fits (queue_fit) and their lag
+    /// datasets (slot k for pending_[k]), reused across windows.
+    std::vector<forecast::MlpTrainJob> pending_;
+    std::vector<la::FlatMatrix> features_;
+    std::vector<std::vector<double>> targets_;
+    std::vector<double> predict_features_;
+    /// MLP scratch when config_.workspace does not lend one.
+    forecast::MlpWorkspace mlp_workspace_;
 };
 
 }  // namespace atm::serve

@@ -41,9 +41,8 @@ constexpr const char* kGoldenFile = ATM_GOLDEN_DIR "/fleet_seed42.json";
 
 /// Pins the SIMD dispatch for a test's scope and restores the ambient
 /// path afterwards (exception/skip-safe). The checked-in golden file is
-/// a *scalar-path* artifact: byte-identical regeneration is only defined
-/// there, since vectorized MLP forwards reassociate FP sums
-/// (linalg/simd/simd.hpp tolerance policy).
+/// generated on the scalar path, the reference every vector path must
+/// reproduce bit for bit (linalg/simd/simd.hpp FP policy).
 class ScopedSimdPath {
   public:
     explicit ScopedSimdPath(simd::Path path) : saved_(simd::active_path()) {
@@ -200,8 +199,7 @@ void expect_json_near(const json::Value& expected, const json::Value& actual,
 TEST(GoldenFleetTest, MatchesCheckedInGoldenRun) {
     // Forced to the scalar path: this comparison (and the
     // ATM_UPDATE_GOLDEN regen below) must be independent of the machine's
-    // best ISA. Vectorized paths are pinned by the tolerance-checked
-    // variant further down.
+    // best ISA. Vectorized paths are pinned to it exactly further down.
     const ScopedSimdPath scoped(simd::Path::kScalar);
     const trace::Trace t = golden_trace();
     const core::FleetResult fleet =
@@ -228,69 +226,6 @@ TEST(GoldenFleetTest, MatchesCheckedInGoldenRun) {
     expect_json_near(expected, actual, "$");
 }
 
-/// True for counters legitimately allowed to drift between SIMD paths:
-/// the MLP's early-stopping epoch count and everything downstream of the
-/// forecast values (MCKP candidate/iteration counts follow the
-/// discretized predicted demands). Everything else — ticket counts,
-/// signatures, clusters, DTW pair/cell counters — must match exactly.
-bool drift_allowlisted(const std::string& path) {
-    return path.find("forecast.mlp.epochs") != std::string::npos ||
-           path.find("resize.mckp.") != std::string::npos;
-}
-
-/// Tolerance-checked golden comparison for vectorized paths: structure,
-/// strings, bools, and integer-valued numbers exact (except the drift
-/// allowlist); non-integral numbers within simd::kGoldenMaxUlps. This is
-/// the documented FP tolerance policy of DESIGN.md §7.13.
-void expect_json_within_ulps(const json::Value& expected,
-                             const json::Value& actual,
-                             const std::string& path) {
-    ASSERT_EQ(expected.type, actual.type) << "at " << path;
-    switch (expected.type) {
-        case json::Value::Type::kNull:
-            break;
-        case json::Value::Type::kBool:
-            EXPECT_EQ(expected.boolean, actual.boolean) << "at " << path;
-            break;
-        case json::Value::Type::kNumber: {
-            const double e = expected.number;
-            const double a = actual.number;
-            if (drift_allowlisted(path)) break;
-            if (std::nearbyint(e) == e && std::nearbyint(a) == a) {
-                EXPECT_EQ(e, a) << "at " << path;
-            } else {
-                EXPECT_LE(simd::ulp_distance(e, a), simd::kGoldenMaxUlps)
-                    << "at " << path << ": " << e << " vs " << a;
-            }
-            break;
-        }
-        case json::Value::Type::kString:
-            EXPECT_EQ(expected.string, actual.string) << "at " << path;
-            break;
-        case json::Value::Type::kArray: {
-            ASSERT_EQ(expected.array.size(), actual.array.size())
-                << "at " << path;
-            for (std::size_t i = 0; i < expected.array.size(); ++i) {
-                expect_json_within_ulps(expected.array[i], actual.array[i],
-                                        path + "[" + std::to_string(i) + "]");
-            }
-            break;
-        }
-        case json::Value::Type::kObject: {
-            ASSERT_EQ(expected.object.size(), actual.object.size())
-                << "at " << path;
-            for (std::size_t i = 0; i < expected.object.size(); ++i) {
-                EXPECT_EQ(expected.object[i].first, actual.object[i].first)
-                    << "at " << path;
-                expect_json_within_ulps(expected.object[i].second,
-                                        actual.object[i].second,
-                                        path + "." + expected.object[i].first);
-            }
-            break;
-        }
-    }
-}
-
 TEST(GoldenFleetTest, ScalarPathRegenerationIsByteIdentical) {
     // The ATM_UPDATE_GOLDEN contract: regenerating on the scalar path is
     // deterministic down to the byte, so a golden diff always means a
@@ -308,6 +243,12 @@ TEST(GoldenFleetTest, ScalarPathRegenerationIsByteIdentical) {
 }
 
 TEST(GoldenFleetTest, VectorizedPathsMatchGoldenWithinTolerance) {
+    // The tolerance is zero: DTW and MLP training are bit-identical on
+    // every path, so each vector path's golden view — APEs, tickets,
+    // signatures and every counter, MLP epochs and MCKP iterations
+    // included — must serialize to exactly the scalar path's bytes
+    // (%.17g, lossless), which MatchesCheckedInGoldenRun pins to the
+    // checked-in file.
     std::vector<simd::Path> vector_paths;
     for (simd::Path p : simd::supported_paths()) {
         if (p != simd::Path::kScalar) vector_paths.push_back(p);
@@ -317,11 +258,11 @@ TEST(GoldenFleetTest, VectorizedPathsMatchGoldenWithinTolerance) {
     }
     const trace::Trace t = golden_trace();
 
-    json::Value scalar_view;
+    std::string scalar_bytes;
     {
         const ScopedSimdPath scoped(simd::Path::kScalar);
-        scalar_view =
-            golden_view(core::run_pipeline_on_fleet(t, golden_config()));
+        scalar_bytes = json::serialize(
+            golden_view(core::run_pipeline_on_fleet(t, golden_config())), 2);
     }
     for (simd::Path path : vector_paths) {
         const ScopedSimdPath scoped(path);
@@ -329,7 +270,8 @@ TEST(GoldenFleetTest, VectorizedPathsMatchGoldenWithinTolerance) {
             core::run_pipeline_on_fleet(t, golden_config());
         ASSERT_EQ(fleet.boxes_failed, 0u) << simd::to_string(path);
         EXPECT_EQ(fleet.simd_path, simd::to_string(path));
-        expect_json_within_ulps(scalar_view, golden_view(fleet), "$");
+        EXPECT_EQ(scalar_bytes, json::serialize(golden_view(fleet), 2))
+            << simd::to_string(path);
     }
 }
 

@@ -24,7 +24,6 @@
 #include "linalg/matrix.hpp"
 #include "linalg/ols.hpp"
 #include "linalg/ridge.hpp"
-#include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
 // ---- Counting allocator -----------------------------------------------------
@@ -303,12 +302,8 @@ struct ReferenceMlp {
 };
 
 TEST(KernelsMlpTest, FlattenedForwardMatchesNestedReferenceBitExactly) {
-    // Bit-exactness vs the nested reference holds on the scalar kernel
-    // path only — vectorized forward layers reassociate their dot
-    // products (linalg/simd/simd.hpp tolerance policy), so this test
-    // pins the scalar path explicitly (and restores the dispatch after).
-    const simd::Path ambient = simd::active_path();
-    simd::set_path(simd::Path::kScalar);
+    // Prediction is one forward pass shared by every SIMD path
+    // (linalg/simd/simd.hpp FP policy), so this holds on any dispatch.
     const std::vector<int> layer_sizes{8, 6, 4, 1};
     const forecast::MlpNetwork net(layer_sizes, forecast::Activation::kTanh, 42);
     const ReferenceMlp reference(layer_sizes, 42);
@@ -316,7 +311,6 @@ TEST(KernelsMlpTest, FlattenedForwardMatchesNestedReferenceBitExactly) {
         const std::vector<double> x = wave(8, 100 + s, 0.3 * s);
         EXPECT_EQ(net.predict(x), reference.predict(x)) << "input " << s;
     }
-    simd::set_path(ambient);
 }
 
 TEST(KernelsMlpTest, TrainWithAndWithoutWorkspaceIsBitIdentical) {
@@ -353,8 +347,9 @@ TEST(KernelsMlpTest, TrainAllocationCountIndependentOfEpochs) {
         targets.push_back(s[i]);
     }
     // Per-sample SGD must be allocation-free: the only allocations a
-    // train() call may make are per-call setup (the shuffle order vector),
-    // never per-epoch or per-sample.
+    // train() call may make are per-call setup (the flattened examples,
+    // the kernel job list), never per-epoch or per-sample — the lane
+    // buffers and shuffle orders live in the reused workspace.
     const auto allocations_for = [&](int epochs) {
         forecast::MlpNetwork net({6, 5, 1}, forecast::Activation::kTanh, 3);
         forecast::MlpWorkspace workspace;

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "core/fleet_journal.hpp"
 #include "core/pipeline.hpp"
 #include "core/spatial_model.hpp"
 #include "exec/cancel.hpp"
@@ -472,6 +473,62 @@ TEST(ChaosFleetTest, MixedPlanIsBitIdenticalAcrossJobCounts) {
     EXPECT_LT(a.boxes_failed, a.boxes.size());
 }
 
+/// Every decision of the per-signature model ladder, as one FNV digest:
+/// per box (trace order) its error code and degradation entries, then the
+/// fleet's counters. Timers are outside the determinism contract.
+std::uint64_t ladder_digest(const core::FleetResult& fleet) {
+    std::uint64_t hash = exec::kFnv1a64Offset;
+    const auto mix = [&hash](const std::string& text) {
+        hash = exec::fnv1a64_mix(hash, text);
+        hash = exec::fnv1a64_mix(hash, "|");
+    };
+    for (const core::FleetBoxResult& box : fleet.boxes) {
+        mix(std::to_string(static_cast<int>(box.error_code)));
+        for (const core::Degradation& d : box.result.degradations) {
+            mix(std::to_string(static_cast<int>(d.code)) + d.stage + d.detail);
+        }
+    }
+    for (const auto& [name, value] : fleet.metrics.counters) {
+        mix(name + "=" + std::to_string(value));
+    }
+    return hash;
+}
+
+TEST(ChaosFleetTest, BatchedMlpFitKeepsPerSignatureLadderOutcomes) {
+    // forecast.fit faults under the lane-batched MLP stage: the fault
+    // site is drawn per signature, in signature order, before the batch;
+    // faulted signatures fall to AR (then seasonal-naive) while the rest
+    // keep their MLP fits. The pinned figures come from the
+    // per-signature fit loop this batch replaced, on the scalar path —
+    // degradations and counters (MLP fits/epochs/examples included) must
+    // match it exactly at any job count.
+    const trace::Trace t = chaos_trace(8);
+    for (const int jobs : {1, 8}) {
+        core::FleetConfig config = chaos_config("forecast.fit=throw@0.5", 21);
+        config.pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
+        // CBC keeps most series as signatures: wide batches with refills.
+        config.pipeline.search.method = core::ClusteringMethod::kCbc;
+        config.jobs = jobs;
+        const core::FleetResult fleet = core::run_pipeline_on_fleet(t, config);
+        const auto counter = [&fleet](const char* name) {
+            return fleet.metrics.counter(name);
+        };
+        std::size_t forecast_degradations = 0;
+        for (const core::FleetBoxResult& box : fleet.boxes) {
+            for (const core::Degradation& d : box.result.degradations) {
+                if (d.stage == "forecast") ++forecast_degradations;
+            }
+        }
+        EXPECT_EQ(fleet.boxes_failed, 0u) << "jobs=" << jobs;
+        EXPECT_EQ(forecast_degradations, 71u) << "jobs=" << jobs;
+        EXPECT_EQ(counter("robust.fallback.forecast"), 71u) << "jobs=" << jobs;
+        EXPECT_EQ(counter("forecast.mlp.fits"), 79u) << "jobs=" << jobs;
+        EXPECT_EQ(counter("forecast.mlp.epochs"), 1485u) << "jobs=" << jobs;
+        EXPECT_EQ(counter("forecast.mlp.examples"), 7584u) << "jobs=" << jobs;
+        EXPECT_EQ(ladder_digest(fleet), 3767513598660148846u) << "jobs=" << jobs;
+    }
+}
+
 // --------------------------------------------------------- checkpoint/resume
 
 /// Fresh temp path for a journal (removing any leftover from a prior run).
@@ -594,6 +651,40 @@ TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
     core::FleetConfig clean = chaos_config("", 1);
     clean.pipeline.seed = 43;
     expect_fleet_equal(core::run_pipeline_on_fleet(t, clean), resumed);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
+    // A checkpoint written by a v1 build — same trace, config, seed and
+    // SIMD path, but older vector-path MLP numerics — must not be
+    // replayed into a v2 run's results: the version alone sends it down
+    // the header-mismatch path. Control: the v2 journal itself resumes.
+    const trace::Trace t = chaos_trace(4);
+    const std::string path = journal_path("atm_resume_v1.jsonl");
+    core::FleetConfig first = chaos_config("", 1);
+    first.checkpoint_path = path;
+    const core::FleetResult fresh = core::run_pipeline_on_fleet(t, first);
+    const exec::JournalLoad load = exec::load_journal(path);
+    ASSERT_EQ(load.records.size(), 4u);
+    const std::string v2 = core::kFleetJournalSchema;
+    ASSERT_EQ(v2, "atm.fleet-journal.v2");
+    std::string v1_header = load.header;
+    const std::size_t at = v1_header.find(v2);
+    ASSERT_NE(at, std::string::npos);
+    v1_header.replace(at, v2.size(), "atm.fleet-journal.v1");
+
+    core::FleetConfig resume = chaos_config("", 1);
+    resume.checkpoint_path = path;
+    resume.resume = true;
+    EXPECT_EQ(core::run_pipeline_on_fleet(t, resume).boxes_replayed, 4u);
+    {
+        exec::JournalWriter writer = exec::JournalWriter::create(path, v1_header);
+        for (const std::string& record : load.records) writer.append(record);
+    }
+    const core::FleetResult resumed = core::run_pipeline_on_fleet(t, resume);
+    EXPECT_EQ(resumed.boxes_replayed, 0u);
+    expect_fleet_equal(fresh, resumed);
+    EXPECT_EQ(exec::load_journal(path).header, load.header);
     std::remove(path.c_str());
 }
 

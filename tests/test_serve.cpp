@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -363,6 +364,51 @@ TEST(ServeRestartTest, HeaderMismatchStartsFresh) {
     EXPECT_EQ(engine.replay_remaining(), 0u);
     EXPECT_EQ(engine.next_epoch(0), 0u);
     engine.close();
+    std::remove(journal_path.c_str());
+}
+
+TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
+    // A journal written by a v1 build (same trace, config, seed and SIMD
+    // path, older MLP numerics) must take the header-mismatch path and
+    // start fresh, never replay into the divergence check. Control: the
+    // untouched v2 journal does resume.
+    const trace::Trace trace = tiny_trace();
+    const std::string journal_path = temp_path("serve_v1.journal");
+    std::remove(journal_path.c_str());
+    ServeConfig config = fast_config();
+    config.journal_path = journal_path;
+    {
+        ServeEngine engine(trace, config);
+        for (std::uint64_t epoch = 0; epoch < 30; ++epoch) {
+            engine.apply(update_at(trace, 0, epoch));
+        }
+    }
+    const exec::JournalLoad load = exec::load_journal(journal_path);
+    ASSERT_EQ(load.records.size(), 30u);
+    const std::string v2 = core::kServeJournalSchema;
+    ASSERT_EQ(v2, "atm.serve-journal.v2");
+    std::string v1_header = load.header;
+    const std::size_t at = v1_header.find(v2);
+    ASSERT_NE(at, std::string::npos);
+    v1_header.replace(at, v2.size(), "atm.serve-journal.v1");
+
+    config.resume = true;
+    {
+        ServeEngine engine(trace, config);
+        EXPECT_TRUE(engine.resumed());
+        EXPECT_EQ(engine.replay_remaining(), 30u);
+    }
+    {
+        exec::JournalWriter writer =
+            exec::JournalWriter::create(journal_path, v1_header);
+        for (const std::string& record : load.records) writer.append(record);
+    }
+    ServeEngine engine(trace, config);
+    EXPECT_FALSE(engine.resumed());
+    EXPECT_EQ(engine.replay_remaining(), 0u);
+    EXPECT_EQ(engine.next_epoch(0), 0u);
+    engine.close();
+    EXPECT_EQ(exec::load_journal(journal_path).header, load.header);
     std::remove(journal_path.c_str());
 }
 

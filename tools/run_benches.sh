@@ -14,9 +14,9 @@
 #                       like 0.01s)
 #   ATM_BOXES / ATM_MAX_JOBS / ATM_SEED  fleet-scaling scale knobs
 #   ATM_PAPER_SCALE=1   also time the paper-scale fleet (6000 boxes /
-#                       ~80K VMs / 7 days, jobs 1 and 8) and record the
-#                       rows under "paper" in BENCH_fleet.json — minutes
-#                       of work, so off by default
+#                       ~80K VMs / 7 days, jobs 1 and one per hardware
+#                       thread) and record the rows under "paper" in
+#                       BENCH_fleet.json — minutes of work, so off by default
 #   ATM_PAPER_BOXES     paper-scale box count override
 #   ATM_BENCH_MIN_SPEEDUP  override the scaling-assertion floor (0 = off)
 set -eu
@@ -28,7 +28,12 @@ mkdir -p "$OUT_DIR"
 
 cmake --build "$BUILD_DIR" --target bench_perf_micro bench_fleet_scaling
 
+# Our own build type (google-benchmark's "library_build_type" describes
+# the benchmark library, not this code).
+BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt")
+
 "$BUILD_DIR/bench/bench_perf_micro" \
+    --benchmark_context="atm_build_type=${BUILD_TYPE:-unset}" \
     --benchmark_min_time="$MIN_TIME" \
     --benchmark_out="$OUT_DIR/BENCH_kernels.json" \
     --benchmark_out_format=json
