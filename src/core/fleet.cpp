@@ -424,26 +424,11 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
 }  // namespace
 
 std::string FleetConfig::validate() const {
-    std::string problems;
+    std::string problems = pipeline.validate();
     const auto add = [&problems](const std::string& p) {
         if (!problems.empty()) problems += "; ";
         problems += p;
     };
-    if (pipeline.alpha <= 0.0 || pipeline.alpha > 1.0) {
-        add("alpha must be in (0, 1], got " + std::to_string(pipeline.alpha));
-    }
-    if (pipeline.train_days < 1) {
-        add("train_days must be >= 1, got " + std::to_string(pipeline.train_days));
-    }
-    if (pipeline.epsilon_pct < 0.0 || pipeline.epsilon_pct >= 100.0) {
-        add("epsilon_pct must be in [0, 100) (0 disables discretization), got " +
-            std::to_string(pipeline.epsilon_pct));
-    }
-    if (pipeline.max_bad_sample_fraction < 0.0 ||
-        pipeline.max_bad_sample_fraction > 1.0) {
-        add("max_bad_sample_fraction must be in [0, 1], got " +
-            std::to_string(pipeline.max_bad_sample_fraction));
-    }
     if (jobs < 0) {
         add("jobs must be >= 0 (0 = hardware concurrency), got " +
             std::to_string(jobs));

@@ -1,7 +1,5 @@
 #include "core/fleet_journal.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 #include "exec/journal.hpp"
@@ -11,38 +9,12 @@
 namespace atm::core {
 namespace {
 
+using exec::hex16;
+using exec::mix_bytes;
+using exec::mix_double;
+using exec::mix_string;
+using exec::mix_u64;
 using obs::json::Value;
-
-/// Streaming digest helpers on the journal's FNV-1a chain. Every numeric
-/// field is fed as its exact bit pattern (doubles via memcpy, never via
-/// text), so the digest is stable across locales and formatting.
-void mix_bytes(std::uint64_t& hash, const void* data, std::size_t size) {
-    hash = exec::fnv1a64_mix(
-        hash, std::string_view(static_cast<const char*>(data), size));
-}
-
-void mix_u64(std::uint64_t& hash, std::uint64_t value) {
-    mix_bytes(hash, &value, sizeof(value));
-}
-
-void mix_double(std::uint64_t& hash, double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    mix_u64(hash, bits);
-}
-
-void mix_string(std::uint64_t& hash, const std::string& text) {
-    // Length-prefixed so ("ab","c") and ("a","bc") digest differently.
-    mix_u64(hash, text.size());
-    mix_bytes(hash, text.data(), text.size());
-}
-
-std::string hex16(std::uint64_t value) {
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
 
 Value int_array(const std::vector<int>& values) {
     Value array = Value::make_array();

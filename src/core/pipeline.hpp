@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "cluster/dtw.hpp"
@@ -89,6 +90,13 @@ struct PipelineConfig {
     /// the temporal models. Null keeps per-call local scratch. Results
     /// are bit-identical either way.
     PipelineWorkspace* workspace = nullptr;
+
+    /// Range-checks the modelling knobs every entry point shares (alpha,
+    /// train_days, epsilon_pct, max_bad_sample_fraction); NaN fails every
+    /// range. Returns "" when valid, else every violation joined with
+    /// "; ". FleetConfig::validate and ServeConfig::validate both start
+    /// here.
+    [[nodiscard]] std::string validate() const;
 };
 
 /// Ticket outcome of one policy on one box for one resource.

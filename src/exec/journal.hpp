@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -18,6 +19,19 @@ namespace atm::exec {
 inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ull;
 [[nodiscard]] std::uint64_t fnv1a64_mix(std::uint64_t hash,
                                         std::string_view text);
+
+/// Field mixers for the config and trace digests on the fnv1a64_mix
+/// chain. Numbers are fed as their exact bit patterns (doubles via
+/// memcpy, never via text), so a digest is stable across locales and
+/// formatting; strings are length-prefixed so ("ab","c") and ("a","bc")
+/// digest differently.
+void mix_bytes(std::uint64_t& hash, const void* data, std::size_t size);
+void mix_u64(std::uint64_t& hash, std::uint64_t value);
+void mix_double(std::uint64_t& hash, double value);
+void mix_string(std::uint64_t& hash, std::string_view text);
+
+/// `value` as 16 lowercase hex digits (journal headers print digests so).
+[[nodiscard]] std::string hex16(std::uint64_t value);
 
 /// What load_journal recovered from a checkpoint file. The journal is an
 /// append-only sequence of framed records:

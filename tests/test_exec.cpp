@@ -9,6 +9,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -225,6 +226,23 @@ TEST(FleetConfigTest, ReportsEveryOutOfRangeValue) {
     EXPECT_NE(problems.find("train_days"), std::string::npos);
     EXPECT_NE(problems.find("epsilon_pct"), std::string::npos);
     EXPECT_NE(problems.find("jobs"), std::string::npos);
+
+    // NaN fails every range rather than slipping past plain comparisons
+    // (it used to pass: a NaN threshold ran and reported 0 tickets).
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    core::FleetConfig nan_config;
+    nan_config.pipeline.alpha = nan;
+    nan_config.pipeline.epsilon_pct = nan;
+    nan_config.pipeline.max_bad_sample_fraction = nan;
+    const std::string nan_problems = nan_config.validate();
+    EXPECT_NE(nan_problems.find("alpha must be in (0, 1], got nan"),
+              std::string::npos);
+    EXPECT_NE(nan_problems.find("epsilon_pct must be in [0, 100) (0 disables "
+                                "discretization), got nan"),
+              std::string::npos);
+    EXPECT_NE(nan_problems.find("max_bad_sample_fraction must be in [0, 1], "
+                                "got nan"),
+              std::string::npos);
 }
 
 TEST(FleetConfigTest, AcceptsBoundaryAlphaAndRejectsRangeEdges) {
