@@ -290,7 +290,7 @@ void BM_MlpTrainBox(benchmark::State& state, simd::Path path) {
             models.push_back(std::make_unique<forecast::MlpForecaster>(options));
             members.push_back(models.back().get());
         }
-        forecast::MlpForecaster::fit_batch(members, histories);
+        forecast::MlpForecaster::fit_batch(members, histories, nullptr, nullptr);
         benchmark::DoNotOptimize(members.front());
     }
     state.counters["fits"] = static_cast<double>(signatures.size());

@@ -5,9 +5,11 @@
 #include <numbers>
 #include <random>
 
+#include "core/box_model.hpp"
 #include "core/pipeline.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
+#include "exec/fault.hpp"
 #include "timeseries/stats.hpp"
 #include "tracegen/generator.hpp"
 
@@ -201,6 +203,79 @@ PipelineConfig fast_config() {
     config.temporal = forecast::TemporalModel::kSeasonalNaive;  // fast tests
     config.train_days = 5;
     return config;
+}
+
+// ------------------------------------------------------------ box model
+
+BoxModel::Series train_window(const trace::BoxTrace& box, std::size_t len) {
+    BoxModel::Series history = box.demand_matrix();
+    for (auto& row : history) row.resize(len);
+    return history;
+}
+
+BoxModel::Training quick_training(std::size_t series) {
+    BoxModel::Training training;
+    for (std::size_t s = 0; s < series; ++s) {
+        training.seeds.push_back(7 + static_cast<unsigned>(s));
+    }
+    training.epochs = 3;
+    training.warm_epochs = 2;
+    return training;
+}
+
+TEST(BoxModelTest, CancelledWarmUpdateLeavesTheModelUnchanged) {
+    const auto box = pipeline_box();
+    const BoxModel::Series history = train_window(box, 2 * 96);
+    const BoxModel::Training training = quick_training(history.size());
+    PipelineConfig config;  // the MLP
+    BoxModel model;
+    model.fit(history, 96, config, training, nullptr);
+    const BoxModel::Series before = model.forecast(history, 4, config, nullptr);
+
+    // A window far outside every pinned scaler makes each network refit
+    // cold, re-initializing its weights before training starts; a
+    // cancelled update must still leave the committed networks alone.
+    BoxModel::Series scaled = history;
+    for (auto& row : scaled) {
+        for (double& v : row) v = 3.0 * v + 10.0;
+    }
+    exec::CancellationToken stop;
+    stop.cancel(exec::CancelReason::kStop);
+    PipelineConfig cancelled = config;
+    cancelled.cancel = &stop;
+    EXPECT_THROW(model.warm_update(scaled, cancelled, training),
+                 exec::OperationCancelled);
+    EXPECT_EQ(model.forecast(history, 4, config, nullptr), before);
+
+    model.warm_update(history, config, training);
+    EXPECT_NE(model.forecast(history, 4, config, nullptr), before);
+}
+
+TEST(BoxModelTest, FailedAtmResizeFallsBackToMaxMin) {
+    trace::BoxTrace box;
+    box.cpu_capacity_ghz = 4.0;
+    box.vms.resize(2);
+    for (auto& vm : box.vms) vm.cpu_capacity_ghz = 2.0;
+    const BoxModel::Series demands{{1.0, 3.0}, {2.5, 1.0}};
+    const exec::FaultPlan plan = exec::FaultPlan::parse("resize.mckp=throw", 1);
+    PipelineConfig config;
+    config.fault.plan = &plan;
+    const auto resize_with = [&](resize::ResizePolicy policy,
+                                 std::vector<Degradation>* degradations) {
+        return BoxModel::resize(box, ts::ResourceKind::kCpu, demands, {}, policy,
+                                config, degradations)
+            .capacities;
+    };
+    std::vector<Degradation> degradations;
+    const std::vector<double> atm =
+        resize_with(resize::ResizePolicy::kAtmGreedy, &degradations);
+    ASSERT_EQ(degradations.size(), 1u);
+    EXPECT_EQ(degradations[0].stage, "resize");
+    EXPECT_EQ(degradations[0].code, PipelineErrorCode::kFaultInjected);
+    // The fault site guards the ATM policies only; max-min is the rung.
+    std::vector<Degradation> none;
+    EXPECT_EQ(atm, resize_with(resize::ResizePolicy::kMaxMinFairness, &none));
+    EXPECT_TRUE(none.empty());
 }
 
 TEST(PipelineTest, RunsEndToEndAndPredicts) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <random>
+#include <span>
 #include <stdexcept>
 
 #include "forecast/ar.hpp"
@@ -274,6 +275,80 @@ TEST(MlpForecasterTest, MisuseThrows) {
     MlpForecasterOptions bad;
     bad.num_lags = 0;
     EXPECT_THROW(MlpForecaster{bad}, std::invalid_argument);
+}
+
+// Warm updates and forecasts after a newer window (the streaming path).
+
+MlpForecaster fitted_mlp(const std::vector<double>& history, unsigned seed) {
+    MlpForecasterOptions options;
+    options.seasonal_period = 48;
+    options.train.epochs = 6;
+    options.train.seed = seed;
+    MlpForecaster model(options);
+    model.fit(history);
+    return model;
+}
+
+TEST(MlpForecasterWarmTest, ForecastAfterReadsOnlyTheLastSeason) {
+    const auto series = diurnal_series(5, 48, 1.5, 21);
+    const std::vector<double> history(series.begin(), series.begin() + 192);
+    const MlpForecaster model = fitted_mlp(history, 3);
+    EXPECT_EQ(model.forecast_after(history, 12), model.forecast(12));
+    // A newer window: only its last max(lags, period) samples matter.
+    const std::span<const double> newer(series.data() + 48, 192);
+    EXPECT_EQ(model.forecast_after(newer, 12),
+              model.forecast_after(newer.last(48), 12));
+    EXPECT_NE(model.forecast_after(newer, 12), model.forecast(12));
+}
+
+TEST(MlpForecasterWarmTest, InRangeWindowContinuesTheNetwork) {
+    const auto series = diurnal_series(5, 48, 1.5, 22);
+    const std::vector<double> history(series.begin(), series.begin() + 192);
+    const std::vector<double> newer(series.begin() + 48, series.end());
+    const MlpForecaster fitted = fitted_mlp(history, 4);
+    MlpForecaster a = fitted;
+    MlpForecaster b = fitted;
+    MlpForecaster c = fitted;
+    const std::span<const double> window(newer);
+    // Alone or in a batch of two, the update is the same.
+    MlpForecaster* alone[] = {&a};
+    MlpForecaster* pair[] = {&b, &c};
+    const std::span<const double> windows[] = {window, window};
+    const unsigned seeds[] = {9, 9};
+    EXPECT_EQ(MlpForecaster::warm_update_batch(alone, std::span(windows, 1),
+                                               std::span(seeds, 1), 4, nullptr,
+                                               nullptr),
+              0u);
+    EXPECT_EQ(MlpForecaster::warm_update_batch(pair, windows, seeds, 4, nullptr,
+                                               nullptr),
+              0u);
+    EXPECT_EQ(a.forecast(6), b.forecast(6));
+    EXPECT_EQ(a.forecast(6), c.forecast(6));
+    EXPECT_EQ(a.forecast(6), a.forecast_after(newer, 6));
+    EXPECT_NE(a.forecast(6), fitted.forecast_after(newer, 6));  // it trained
+}
+
+TEST(MlpForecasterWarmTest, OutOfRangeWindowRefitsCold) {
+    const auto series = diurnal_series(5, 48, 1.5, 23);
+    const std::vector<double> history(series.begin(), series.begin() + 192);
+    std::vector<double> shifted(series.begin() + 48, series.end());
+    for (double& v : shifted) v *= 3.0;  // far outside the pinned scaler
+    MlpForecaster model = fitted_mlp(history, 5);
+    MlpForecaster* models[] = {&model};
+    const std::span<const double> windows[] = {shifted};
+    const unsigned seeds[] = {11};
+    EXPECT_EQ(MlpForecaster::warm_update_batch(models, windows, seeds, 4,
+                                               nullptr, nullptr),
+              1u);
+    // Bitwise a fresh fit with the update's seed and the model's epochs.
+    EXPECT_EQ(model.forecast(6), fitted_mlp(shifted, 11).forecast(6));
+}
+
+TEST(MlpForecasterWarmTest, DegenerateFitHoldsTheNewestSample) {
+    MlpForecaster model;
+    model.fit(std::vector<double>(300, 42.0));
+    const std::vector<double> newer{5.0, 6.0, 7.0};
+    for (double v : model.forecast_after(newer, 3)) EXPECT_DOUBLE_EQ(v, 7.0);
 }
 
 TEST(FactoryTest, CreatesEveryModel) {
