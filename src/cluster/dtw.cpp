@@ -119,7 +119,7 @@ la::FlatMatrix dtw_distance_matrix(
         std::min<std::uint64_t>(pairs, std::max<std::size_t>(1, 4 * participants)));
     const std::uint64_t per_chunk = (pairs + chunks - 1) / chunks;
 
-    exec::parallel_for_each(pool, chunks, [&](std::size_t c) {
+    exec::parallel_for_each(pool, chunks, 0, [&](unsigned, std::size_t c) {
         const std::uint64_t begin = static_cast<std::uint64_t>(c) * per_chunk;
         const std::uint64_t end = std::min(pairs, begin + per_chunk);
         if (begin >= end) return;

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -14,7 +12,6 @@
 #include "core/fleet_journal.hpp"
 #include "exec/journal.hpp"
 #include "exec/seed.hpp"
-#include "exec/shard.hpp"
 #include "exec/thread_pool.hpp"
 #include "linalg/simd/simd.hpp"
 
@@ -94,85 +91,6 @@ void aggregate(const FleetConfig& config, FleetResult& fleet) {
     }
 }
 
-/// Background thread that periodically prods every registered per-box
-/// CancellationToken. A token self-trips when its armed deadline is read
-/// (CancellationToken::reason), so correctness never depends on this
-/// thread getting scheduled — the watchdog exists so a box stuck in a
-/// *long* stretch between cancellation points is still flagged close to
-/// its deadline rather than at the next check. Registration is
-/// mutex-protected: unwatch() returning guarantees the watchdog no longer
-/// touches the (stack-owned) token.
-class DeadlineWatchdog {
-  public:
-    explicit DeadlineWatchdog(double deadline_seconds) {
-        // Scan at ~deadline/4, clamped to [1ms, 250ms].
-        const double period = std::clamp(deadline_seconds / 4.0, 1e-3, 0.25);
-        period_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::duration<double>(period));
-        thread_ = std::thread([this] { loop(); });
-    }
-
-    DeadlineWatchdog(const DeadlineWatchdog&) = delete;
-    DeadlineWatchdog& operator=(const DeadlineWatchdog&) = delete;
-
-    ~DeadlineWatchdog() {
-        {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            stop_ = true;
-        }
-        wake_.notify_all();
-        thread_.join();
-    }
-
-    void watch(exec::CancellationToken* token) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        active_.push_back(token);
-    }
-
-    void unwatch(exec::CancellationToken* token) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        active_.erase(std::find(active_.begin(), active_.end(), token));
-    }
-
-  private:
-    void loop() {
-        std::unique_lock<std::mutex> lock(mutex_);
-        while (!stop_) {
-            // reason() trips an armed token whose deadline has passed.
-            for (exec::CancellationToken* token : active_) token->reason();
-            wake_.wait_for(lock, period_, [this] { return stop_; });
-        }
-    }
-
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::vector<exec::CancellationToken*> active_;
-    bool stop_ = false;
-    std::chrono::nanoseconds period_{};
-    std::thread thread_;
-};
-
-/// RAII registration of a per-attempt token with the (optional) watchdog.
-class WatchdogGuard {
-  public:
-    WatchdogGuard(DeadlineWatchdog* watchdog, exec::CancellationToken* token)
-        : watchdog_(watchdog) {
-        if (watchdog_ != nullptr) {
-            token_ = token;
-            watchdog_->watch(token_);
-        }
-    }
-    WatchdogGuard(const WatchdogGuard&) = delete;
-    WatchdogGuard& operator=(const WatchdogGuard&) = delete;
-    ~WatchdogGuard() {
-        if (watchdog_ != nullptr) watchdog_->unwatch(token_);
-    }
-
-  private:
-    DeadlineWatchdog* watchdog_;
-    exec::CancellationToken* token_ = nullptr;
-};
-
 /// Transient codes re-run under FleetConfig::max_retries: injected faults
 /// re-roll their Bernoulli draws per attempt, and kInternal covers
 /// environmental flakes (the catch-all). Structural failures (bad input,
@@ -205,42 +123,21 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
     const std::vector<int> selected = select_boxes(trace, config);
     fleet.boxes_skipped = trace.boxes.size() - selected.size();
 
-    // Checkpoint journal: load the replayable prefix (resume) and open the
-    // writer. A header mismatch — different trace, result-affecting
-    // config, or seed — means the old journal answers a different
-    // question, so it is ignored and the file starts fresh.
+    // Checkpoint journal: replay the decodable prefix (resume) and open
+    // the writer. A record that fails to decode is treated like checksum
+    // corruption: keep the boxes before it, truncate the rest.
     std::map<int, FleetBoxResult> replayed;
     std::optional<exec::JournalWriter> journal;
     if (!config.checkpoint_path.empty()) {
-        const std::string header = fleet_journal_header(trace, config);
-        bool fresh = true;
-        if (config.resume) {
-            const exec::JournalLoad load =
-                exec::load_journal(config.checkpoint_path);
-            if (load.exists && load.header == header) {
-                // A record that fails to *decode* is treated like checksum
-                // corruption: keep the boxes before it, truncate the rest.
-                std::uint64_t keep_bytes = load.header_end;
-                for (std::size_t i = 0; i < load.records.size(); ++i) {
-                    FleetBoxResult box;
-                    try {
-                        box = decode_box_record(load.records[i]);
-                    } catch (const std::exception&) {
-                        break;
-                    }
-                    const int index = box.box_index;
-                    replayed.insert({index, std::move(box)});
-                    keep_bytes = load.record_ends[i];
-                }
-                journal.emplace(exec::JournalWriter::append_after(
-                    config.checkpoint_path, keep_bytes));
-                fresh = false;
-            }
-        }
-        if (fresh) {
-            journal.emplace(
-                exec::JournalWriter::create(config.checkpoint_path, header));
-        }
+        const auto replay = [&replayed](const std::string& payload) {
+            FleetBoxResult box = decode_box_record(payload);
+            const int index = box.box_index;
+            replayed.insert({index, std::move(box)});
+        };
+        journal = exec::open_journal(config.checkpoint_path,
+                                     fleet_journal_header(trace, config),
+                                     config.resume, replay)
+                      .writer;
     }
 
     const unsigned jobs = resolve_jobs(config.jobs);
@@ -263,13 +160,8 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
         workspaces.push_back(std::make_unique<PipelineWorkspace>());
     }
 
-    exec::ShardOptions shard_options;
-    shard_options.workers = jobs;
-    shard_options.shard_size =
-        config.shard_size > 0 ? static_cast<std::size_t>(config.shard_size) : 0;
     fleet.exec_stats.workers = static_cast<int>(jobs);
-    fleet.exec_stats.shard_size = exec::resolve_shard_size(
-        selected.size(), jobs, shard_options.shard_size);
+    fleet.exec_stats.shard_size = exec::resolve_shard_size(selected.size(), jobs);
 
     // Lend the fleet pool to each box's DTW matrix only when there are
     // fewer boxes than workers — otherwise box-level sharding already
@@ -281,15 +173,10 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             ? pool
             : nullptr;
 
-    std::unique_ptr<DeadlineWatchdog> watchdog;
-    if (config.box_deadline_seconds > 0.0) {
-        watchdog = std::make_unique<DeadlineWatchdog>(config.box_deadline_seconds);
-    }
-
     const int max_attempts = 1 + std::max(0, config.max_retries);
     fleet.boxes.resize(selected.size());
-    exec::run_sharded(pool, selected.size(), shard_options, [&](unsigned worker,
-                                                                std::size_t task) {
+    exec::parallel_for_each(pool, selected.size(), jobs, [&](unsigned worker,
+                                                             std::size_t task) {
         const int box_index = selected[task];
         FleetBoxResult& slot = fleet.boxes[task];
         slot.box_index = box_index;
@@ -325,7 +212,6 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
             if (config.box_deadline_seconds > 0.0) {
                 box_cancel.arm_deadline_after(config.box_deadline_seconds);
             }
-            const WatchdogGuard guard(watchdog.get(), &box_cancel);
             try {
                 const exec::FaultContext fault{
                     config.faults.empty() ? nullptr : &config.faults,
@@ -432,10 +318,6 @@ std::string FleetConfig::validate() const {
     if (jobs < 0) {
         add("jobs must be >= 0 (0 = hardware concurrency), got " +
             std::to_string(jobs));
-    }
-    if (shard_size < 0) {
-        add("shard_size must be >= 0 (0 = auto), got " +
-            std::to_string(shard_size));
     }
     if (max_retries < 0) {
         add("max_retries must be >= 0, got " + std::to_string(max_retries));

@@ -23,14 +23,6 @@ struct FleetConfig {
     /// index (splitmix64), never from scheduling order.
     int jobs = 0;
 
-    /// Boxes per scheduler shard: 0 picks ~8 shards per worker (clamped
-    /// to [1, 64]). Purely an execution knob — workers claim whole shards
-    /// from an atomic cursor, so larger shards mean fewer claims (less
-    /// contention) and smaller shards mean better load balance, but the
-    /// per-box results never depend on it. Excluded from the checkpoint
-    /// journal's config digest for the same reason as `jobs`.
-    int shard_size = 0;
-
     /// Drop boxes whose monitoring data has gaps (the paper's Section V
     /// evaluation keeps only the gap-free boxes).
     bool skip_gappy_boxes = true;
@@ -156,7 +148,7 @@ struct FleetPolicyTotals {
     }
 };
 
-/// How the sharded scheduler executed a fleet run: worker/shard geometry
+/// How the scheduler executed a fleet run: worker/shard geometry
 /// plus the per-worker arena counters summed over all workers. Purely
 /// observational (never part of the resume-equivalence contract or the
 /// golden metrics) — reported in the metrics report's "scheduler"
@@ -164,7 +156,7 @@ struct FleetPolicyTotals {
 struct FleetExecStats {
     /// Workers the scheduler ran with (== FleetResult::jobs).
     int workers = 0;
-    /// Resolved boxes-per-shard the run used (after the 0 = auto rule).
+    /// Boxes per scheduler shard the run used (exec::resolve_shard_size).
     std::size_t shard_size = 0;
     /// Sum over workers of each arena's slab bytes reserved.
     std::uint64_t arena_bytes_reserved = 0;
@@ -217,9 +209,8 @@ struct FleetResult {
     /// SIMD kernel path the run dispatched to ("scalar", "avx2",
     /// "avx512", "neon") — recorded in metrics reports and BENCH JSON so
     /// perf numbers are attributable to an ISA. Bound by the checkpoint
-    /// journal header: a resume under a different path starts fresh
-    /// (vectorized MLP forwards may drift by ULPs from scalar, so mixed
-    /// journals would break resume bit-equivalence).
+    /// journal header as provenance: every path computes the same bits,
+    /// and a resume under a different path starts fresh.
     std::string simd_path;
     /// Boxes replayed bit-identically from the resume journal instead of
     /// recomputed. Like wall_seconds/jobs, excluded from the

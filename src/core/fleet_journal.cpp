@@ -1,5 +1,6 @@
 #include "core/fleet_journal.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 #include "exec/journal.hpp"
@@ -117,10 +118,9 @@ std::string fleet_journal_header(const trace::Trace& trace,
     header.set("config", Value::of(hex16(fleet_config_digest(config))));
     header.set("seed",
                Value::of(static_cast<std::uint64_t>(config.pipeline.seed)));
-    // The dispatched SIMD path is result-affecting (vectorized MLP
-    // forwards reassociate; simd.hpp's tolerance policy), so a journal
-    // written under one path must not be replayed under another — a
-    // mismatch makes the resume start fresh, like any config change.
+    // The dispatched SIMD path, as provenance: every path computes the
+    // same bits, and a journal written under one path still resumes only
+    // under that path (a mismatch starts fresh, like any config change).
     header.set("simd", Value::of(simd::to_string(simd::active_path())));
     return obs::json::serialize(header, 0);
 }
@@ -278,8 +278,16 @@ ServeEpochRecord decode_epoch_record(const std::string& payload) {
         throw std::runtime_error("serve journal: ladder mask out of range");
     }
     record.searched = in.at("searched").as_bool();
-    record.retrained = static_cast<int>(in.at("retrained").as_int());
-    record.attempts = static_cast<int>(in.at("attempts").as_int());
+    const std::int64_t retrained = in.at("retrained").as_int();
+    if (retrained != 0 && retrained != 1) {
+        throw std::runtime_error("serve journal: retrained flag not 0 or 1");
+    }
+    record.retrained = static_cast<int>(retrained);
+    const std::int64_t attempts = in.at("attempts").as_int();
+    if (attempts < 1 || attempts > std::numeric_limits<int>::max()) {
+        throw std::runtime_error("serve journal: attempts out of range");
+    }
+    record.attempts = static_cast<int>(attempts);
     record.cpu = double_array_from(in.at("cpu"));
     record.ram = double_array_from(in.at("ram"));
     return record;

@@ -81,7 +81,7 @@ struct ServeEpochRecord {
     /// model and nothing to shed to).
     int ladder = 0;
     bool searched = false;  ///< signature search (re-)ran this window
-    int retrained = 0;      ///< 0 none, 1 warm retrain, 2 cold refit
+    int retrained = 0;      ///< 1 when a retrain (warm or cold) committed
     int attempts = 1;       ///< apply attempts (retries = attempts - 1)
     std::vector<double> cpu;  ///< per-VM recommended CPU allocation (GHz)
     std::vector<double> ram;  ///< per-VM recommended RAM allocation (GB)
@@ -89,8 +89,10 @@ struct ServeEpochRecord {
 
 /// Encode/decode one ServeEpochRecord as a compact single-line JSON
 /// payload (doubles at full precision, same contract as box records).
-/// decode throws on malformed payloads; the serve driver treats that like
-/// checksum corruption and truncates the journal before the bad record.
+/// decode throws on malformed payloads and on fields out of range
+/// (ladder outside 0..15, retrained not 0/1, attempts < 1); the serve
+/// driver treats that like checksum corruption and truncates the journal
+/// at the bad record.
 [[nodiscard]] std::string encode_epoch_record(const ServeEpochRecord& record);
 [[nodiscard]] ServeEpochRecord decode_epoch_record(const std::string& payload);
 

@@ -227,4 +227,25 @@ void JournalWriter::close() {
     }
 }
 
+JournalOpen open_journal(const std::string& path, const std::string& header,
+                         bool resume,
+                         const std::function<void(const std::string&)>& accept) {
+    if (resume) {
+        const JournalLoad load = load_journal(path);
+        if (load.exists && load.header == header) {
+            std::uint64_t keep_bytes = load.header_end;
+            for (std::size_t i = 0; i < load.records.size(); ++i) {
+                try {
+                    accept(load.records[i]);
+                } catch (const std::exception&) {
+                    break;
+                }
+                keep_bytes = load.record_ends[i];
+            }
+            return {JournalWriter::append_after(path, keep_bytes), true};
+        }
+    }
+    return {JournalWriter::create(path, header), false};
+}
+
 }  // namespace atm::exec

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,6 +106,24 @@ class JournalWriter {
     /// Heap-allocated so the writer stays movable.
     std::unique_ptr<std::mutex> mutex_;
 };
+
+/// A journal writer positioned for new records, and whether it continues
+/// an earlier run's journal.
+struct JournalOpen {
+    JournalWriter writer;
+    bool resumed = false;
+};
+
+/// Opens the journal at `path` for the run that `header` identifies.
+/// With `resume`, an existing journal whose header matches byte for byte
+/// is continued: `accept` sees each record of its intact prefix in order,
+/// and the first record it throws a std::exception on ends the prefix —
+/// that record and everything after it are truncated, like checksum
+/// corruption. Otherwise (no resume, no file, or another header, i.e. the
+/// old journal answers a different question) the file starts fresh.
+[[nodiscard]] JournalOpen open_journal(
+    const std::string& path, const std::string& header, bool resume,
+    const std::function<void(const std::string&)>& accept);
 
 /// Builds the framed line for `payload` (without writing it). Exposed so
 /// tests can construct valid and deliberately corrupted journals.

@@ -1,5 +1,6 @@
 #include "exec/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -73,44 +74,71 @@ void ThreadPool::worker_loop() {
     }
 }
 
+ThreadPool& shared_pool(unsigned min_helpers) {
+    if (min_helpers == 0) min_helpers = 1;
+    static ThreadPool pool(min_helpers);
+    if (pool.size() < min_helpers) pool.grow(min_helpers);
+    return pool;
+}
+
+std::size_t resolve_shard_size(std::size_t n, unsigned workers) {
+    if (n == 0) return 1;
+    if (workers == 0) workers = 1;
+    // ~8 shards per worker balances stragglers (a worker stuck on a slow
+    // box strands at most 1/8 of its share) while keeping claims rare;
+    // capped so tiny fleets still produce one shard per worker.
+    const std::size_t target = n / (std::size_t{8} * workers);
+    return std::clamp<std::size_t>(target, 1, 64);
+}
+
 namespace {
 
 /// Shared state of one parallel_for_each call. Heap-allocated and owned
 /// jointly by the caller and every helper task: a helper that only gets
 /// scheduled after the caller has already drained the index space (the
 /// nested-call scenario — all workers busy with outer tasks) must still
-/// find the state alive, see the counter exhausted, and exit as a no-op.
-struct ForEachState {
-    std::function<void(std::size_t)> fn;
+/// find the state alive, see the cursor exhausted, and exit as a no-op.
+struct LoopState {
+    std::function<void(unsigned, std::size_t)> fn;
     std::size_t n = 0;
-    std::atomic<std::size_t> next{0};
+    std::size_t shard = 1;
+    std::size_t num_shards = 0;
+    std::atomic<std::size_t> next_shard{0};
     std::atomic<std::size_t> completed{0};
     /// Lowest index that has thrown so far (SIZE_MAX while none has). The
     /// caller must see the *first trace-order* exception regardless of
     /// scheduling, so later throwers are demoted, not first-come-first-kept.
     std::atomic<std::size_t> error_index{SIZE_MAX};
-    std::exception_ptr error;
+    std::exception_ptr error;  ///< guarded by error_mutex
     std::mutex error_mutex;
     std::mutex done_mutex;
     std::condition_variable done_cv;
 
-    /// Claims indices until the space is exhausted. Every claimed index
-    /// bumps `completed` exactly once — even when skipped after a failure —
-    /// so `completed == n` means no fn invocation is still in flight.
+    void drain(unsigned worker) {
+        for (;;) {
+            const std::size_t s = next_shard.fetch_add(1);
+            if (s >= num_shards) return;
+            run_shard(worker, s);
+        }
+    }
+
+    /// Runs one shard. Every index bumps `completed` exactly once — even
+    /// when skipped after a failure — so `completed == n` means no fn
+    /// invocation is still in flight.
     ///
     /// Determinism: fn(i) is skipped only when some index below i has
     /// already thrown. Hence every index below the minimal throwing index
-    /// always runs (nothing below it can be in error_index), that minimal
-    /// thrower itself always runs, and its exception — having the lowest
-    /// index — is the one retained. The delivered exception is therefore a
-    /// pure function of fn, independent of worker count and scheduling.
-    void drain() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n) return;
+    /// always runs, that minimal thrower itself always runs, and its
+    /// exception — having the lowest index — is the one retained. The
+    /// delivered exception is therefore a pure function of fn,
+    /// independent of worker count, shard size and scheduling.
+    void run_shard(unsigned worker, std::size_t s) {
+        const std::size_t begin = s * shard;
+        const std::size_t end = std::min(n, begin + shard);
+        for (std::size_t i = begin; i < end; ++i) {
             if (i < error_index.load(std::memory_order_acquire)) {
                 try {
-                    fn(i);
+                    fn(worker, i);
                 } catch (...) {
                     const std::lock_guard<std::mutex> lock(error_mutex);
                     if (i < error_index.load(std::memory_order_relaxed)) {
@@ -119,45 +147,63 @@ struct ForEachState {
                     }
                 }
             }
-            if (completed.fetch_add(1) + 1 == n) {
-                const std::lock_guard<std::mutex> lock(done_mutex);
-                done_cv.notify_all();
-            }
+        }
+        const std::size_t done = end - begin;
+        if (completed.fetch_add(done) + done == n) {
+            const std::lock_guard<std::mutex> lock(done_mutex);
+            done_cv.notify_all();
         }
     }
 };
 
 }  // namespace
 
-void parallel_for_each(ThreadPool* pool, std::size_t n,
-                       const std::function<void(std::size_t)>& fn) {
+void parallel_for_each(ThreadPool* pool, std::size_t n, unsigned workers,
+                       const std::function<void(unsigned, std::size_t)>& fn) {
     if (n == 0) return;
-    const unsigned workers = pool == nullptr ? 0 : pool->size();
-    if (workers == 0 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i) fn(i);
+    if (workers == 0) workers = (pool == nullptr ? 0 : pool->size()) + 1;
+    if (pool == nullptr || workers == 1 || n == 1) {
+        // Serial: ascending order means the first exception is already the
+        // lowest-index one; let it propagate directly.
+        for (std::size_t i = 0; i < n; ++i) fn(0, i);
         return;
     }
 
-    auto state = std::make_shared<ForEachState>();
+    auto state = std::make_shared<LoopState>();
     state->fn = fn;
     state->n = n;
+    state->shard = resolve_shard_size(n, workers);
+    state->num_shards = (n + state->shard - 1) / state->shard;
 
-    // The caller drains too, so one helper per remaining index suffices and
-    // the call completes even if no helper is ever scheduled.
-    const std::size_t helpers = std::min<std::size_t>(workers, n - 1);
+    // The caller claims the first shard before any helper exists, so it
+    // participates even when the helpers would otherwise drain every
+    // shard before it gets to claim one. Worker ids are handed out here,
+    // not claimed inside the task: id h+1 belongs to helper h even if it
+    // never runs, so ids stay dense in [0, workers).
+    const std::size_t first = state->next_shard.fetch_add(1);
+    const std::size_t helpers =
+        std::min<std::size_t>(workers - 1, state->num_shards - 1);
     for (std::size_t h = 0; h < helpers; ++h) {
-        pool->submit([state] { state->drain(); });
+        const auto worker = static_cast<unsigned>(h + 1);
+        pool->submit([state, worker] { state->drain(worker); });
     }
 
-    state->drain();
+    state->run_shard(0, first);
+    state->drain(0);
     {
         std::unique_lock<std::mutex> lock(state->done_mutex);
-        state->done_cv.wait(lock,
-                            [&state] { return state->completed.load() == state->n; });
+        state->done_cv.wait(
+            lock, [&state] { return state->completed.load() == state->n; });
     }
-    if (state->error_index.load() != SIZE_MAX) {
-        std::rethrow_exception(state->error);
+    // Take the exception out of the shared state before rethrowing: the
+    // last owner of `state` may be a helper thread, and it must not free
+    // the exception while the caller's handler is still reading it.
+    std::exception_ptr error;
+    {
+        const std::lock_guard<std::mutex> lock(state->error_mutex);
+        error = std::move(state->error);
     }
+    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace atm::exec

@@ -41,7 +41,7 @@ public:
     void grow(unsigned threads);
 
     /// Enqueues a task. The task must not throw (wrap work that can throw —
-    /// `parallel_for_each` does, capturing the first exception).
+    /// `parallel_for_each` does, capturing the lowest-index exception).
     void submit(std::function<void()> task);
 
     /// Blocks until the queue is empty and no task is executing.
@@ -60,21 +60,41 @@ private:
     bool stopping_ = false;
 };
 
-/// Runs `fn(0) .. fn(n-1)` with dynamic (work-stealing-style) scheduling:
-/// indices are drawn from a shared atomic counter by the pool's workers
-/// *and by the calling thread*, so the call always completes even when the
-/// pool is saturated or `pool` is null (serial fallback) — safe to nest
-/// from inside another pool task. Blocks until every index has run.
+/// Process-wide persistent thread pool for fleet runs. Constructed on
+/// first use and grown (never shrunk) to satisfy the largest
+/// `min_helpers` seen, so repeated fleet runs — benches sweeping --jobs,
+/// resumed checkpoints, CLI invocations in one process — reuse warm
+/// threads instead of paying a spawn/join cycle per run.
+ThreadPool& shared_pool(unsigned min_helpers);
+
+/// The shard size parallel_for_each uses for `n` indices on `workers`
+/// workers: ~8 shards per worker, clamped to [1, 64]. Exposed so the
+/// fleet driver can report it.
+std::size_t resolve_shard_size(std::size_t n, unsigned workers);
+
+/// Runs `fn(worker, 0) .. fn(worker, n-1)` on up to `workers` workers
+/// (0 = pool size + 1), partitioning the index space into contiguous
+/// shards of `resolve_shard_size` indices claimed from a single atomic
+/// cursor. Each claimant drains its whole shard before claiming another,
+/// so a worker touches long contiguous runs of indices (cache-friendly
+/// when indices map to adjacent trace boxes).
 ///
-/// Exception safety: the first exception thrown by any `fn` invocation is
-/// captured and rethrown on the calling thread after all in-flight
-/// invocations finish; remaining unclaimed indices are skipped.
+/// `worker` is a dense id in [0, workers): the calling thread is always
+/// worker 0 and participates fully — it claims the first shard before any
+/// helper is submitted, so the call completes even when the pool is
+/// saturated (safe to nest from inside another pool task). Pool helpers
+/// get ids 1..workers-1. A null pool or `workers == 1` runs serially, in
+/// index order, on the caller. The id is meant to key per-worker
+/// workspaces; results must not depend on which worker ran an index.
+///
+/// Exception safety: the lowest-index exception is rethrown on the caller
+/// after all in-flight invocations finish, independent of scheduling;
+/// indices above a thrown one may be skipped.
 ///
 /// Any writes `fn` makes must be to disjoint, index-owned locations (the
-/// per-box result slot pattern); `fn` sees indices in nondeterministic
-/// order, so determinism must come from index-derived state, never from
-/// shared mutable state.
-void parallel_for_each(ThreadPool* pool, std::size_t n,
-                       const std::function<void(std::size_t)>& fn);
+/// per-box result slot pattern); determinism must come from index-derived
+/// state, never from shared mutable state.
+void parallel_for_each(ThreadPool* pool, std::size_t n, unsigned workers,
+                       const std::function<void(unsigned, std::size_t)>& fn);
 
 }  // namespace atm::exec

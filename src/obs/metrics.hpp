@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -14,7 +12,7 @@
 namespace atm::obs {
 
 /// Aggregate of ScopedTimer durations under one name. All fields are
-/// integers, so merging shards (or per-box snapshots) is exact and
+/// integers, so merging per-box snapshots is exact and
 /// order-independent — but the *values* depend on machine load, which is
 /// why timers are excluded from the determinism contract (DESIGN.md).
 struct TimerStat {
@@ -34,7 +32,7 @@ struct TimerStat {
 /// `counts` has bounds.size() + 1 entries (the last bucket is open to
 /// +infinity). Two histograms under the same name must share bounds, which
 /// makes merging a plain element-wise sum — the property that lets
-/// per-thread shards and per-box snapshots combine into a fleet view.
+/// per-box snapshots combine into a fleet view.
 struct HistogramSnapshot {
     std::vector<double> bounds;
     std::vector<std::uint64_t> counts;
@@ -78,77 +76,56 @@ struct MetricsSnapshot {
 /// suitable for the ratios (APE) and seconds the pipeline observes.
 std::span<const double> default_histogram_bounds();
 
-/// Thread-safe metrics registry with per-thread shards.
+/// Thread-safe metrics registry: one mutex guarding one set of maps.
 ///
-/// Every writing thread gets its own shard (found via a thread-local
-/// cache), so concurrent instrumentation — e.g. DTW rows recording cell
-/// counts from several pool workers — never contends on a shared cell.
-/// Each shard carries its own mutex, taken uncontended on the hot path
-/// and only fought over during `snapshot()`, which locks shard by shard
-/// and merges. This keeps the registry race-free under the exec
-/// ThreadPool without atomics in every metric.
+/// Every record operation takes the mutex, so concurrent instrumentation
+/// — e.g. DTW chunks recording cell counts from several pool workers, or
+/// the daemon's reader threads — is race-free without atomics in every
+/// metric. A null `MetricsRegistry*` at an instrumentation site costs a
+/// pointer test only; that is how callers turn metrics off.
 ///
-/// When disabled (constructor flag or `set_enabled(false)`) every record
-/// operation returns after one relaxed atomic load — near-zero overhead —
-/// and a null `MetricsRegistry*` at an instrumentation site costs a
-/// pointer test only.
-///
-/// Determinism: counter merges are exact integer sums, so deterministic
+/// Determinism: counters are exact integer sums, so deterministic
 /// instrumentation (cell counts, cache hits, iterations) is bit-identical
-/// regardless of worker count or shard merge order. Gauges and histogram
-/// `sum` are only deterministic when written from a single thread per
+/// regardless of worker count or write order. Gauges and histogram `sum`
+/// are only deterministic when written from a single thread per
 /// registry — the convention all pipeline instrumentation follows (worker
 /// threads write counters only).
 class MetricsRegistry {
 public:
-    explicit MetricsRegistry(bool enabled = true);
-    ~MetricsRegistry();
-
+    MetricsRegistry() = default;
     MetricsRegistry(const MetricsRegistry&) = delete;
     MetricsRegistry& operator=(const MetricsRegistry&) = delete;
-
-    void set_enabled(bool enabled) {
-        enabled_.store(enabled, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool enabled() const {
-        return enabled_.load(std::memory_order_relaxed);
-    }
 
     /// Adds `delta` to the named monotonic counter.
     void add(std::string_view name, std::uint64_t delta = 1);
     /// Sets the named gauge to `value` (last write wins).
     void set_gauge(std::string_view name, double value);
     /// Records one observation into the named histogram. `bounds` is used
-    /// only when this thread's shard first creates the histogram; empty
-    /// selects `default_histogram_bounds()`. All observers of one name
-    /// must use the same bounds.
+    /// only when the histogram is first created; empty selects
+    /// `default_histogram_bounds()`. All observers of one name must use
+    /// the same bounds.
     void observe(std::string_view name, double value,
                  std::span<const double> bounds = {});
     /// Records one duration into the named timer aggregate.
     void record_ns(std::string_view name, std::uint64_t ns);
 
-    /// Merges every shard into one snapshot. Safe to call while other
-    /// threads are still recording (they hold their shard mutex per op);
-    /// for a quiescent-point snapshot, call after joining/fencing writers.
+    /// Copies every metric into one snapshot. Safe to call while other
+    /// threads are still recording; for a quiescent-point snapshot, call
+    /// after joining/fencing writers.
     [[nodiscard]] MetricsSnapshot snapshot() const;
 
-    /// Clears every shard (the shards themselves stay registered).
+    /// Clears every metric.
     void reset();
 
 private:
-    struct Shard;
-    Shard* local_shard();
-
-    const std::uint64_t id_;  ///< process-unique, keys the TLS shard cache
-    std::atomic<bool> enabled_;
-    mutable std::mutex shards_mutex_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    mutable std::mutex mutex_;
+    MetricsSnapshot metrics_;  ///< guarded by mutex_
 };
 
 /// RAII span timer: records the elapsed wall time into
 /// `registry->record_ns(name)` on destruction (or an explicit `stop()`).
-/// A null or disabled registry makes construction and destruction no-ops
-/// (no clock reads).
+/// A null registry makes construction and destruction no-ops (no clock
+/// reads).
 class ScopedTimer {
 public:
     ScopedTimer(MetricsRegistry* registry, std::string name);
@@ -165,51 +142,6 @@ private:
     std::string name_;
     std::chrono::steady_clock::time_point start_;
     bool armed_;
-};
-
-/// Named-handle sugar over a registry. Handles are cheap to construct,
-/// copyable, and tolerate a null registry (every call becomes a no-op),
-/// so instrumented code reads declaratively without null checks.
-class Counter {
-public:
-    Counter(MetricsRegistry* registry, std::string name)
-        : registry_(registry), name_(std::move(name)) {}
-    void add(std::uint64_t delta = 1) const {
-        if (registry_ != nullptr) registry_->add(name_, delta);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-};
-
-class Gauge {
-public:
-    Gauge(MetricsRegistry* registry, std::string name)
-        : registry_(registry), name_(std::move(name)) {}
-    void set(double value) const {
-        if (registry_ != nullptr) registry_->set_gauge(name_, value);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-};
-
-class Histogram {
-public:
-    Histogram(MetricsRegistry* registry, std::string name,
-              std::span<const double> bounds = {})
-        : registry_(registry), name_(std::move(name)),
-          bounds_(bounds.begin(), bounds.end()) {}
-    void observe(double value) const {
-        if (registry_ != nullptr) registry_->observe(name_, value, bounds_);
-    }
-
-private:
-    MetricsRegistry* registry_;
-    std::string name_;
-    std::vector<double> bounds_;
 };
 
 }  // namespace atm::obs

@@ -209,45 +209,29 @@ ServeEngine::ServeEngine(const trace::Trace& trace, ServeConfig config)
     }
 
     if (config_.journal_path.empty()) return;
-    const std::string header = serve_journal_header(trace, config_);
-    if (config_.resume) {
-        const exec::JournalLoad load = exec::load_journal(config_.journal_path);
-        if (load.exists && load.header == header) {
-            // Accept the longest decodable prefix whose per-box epochs are
-            // contiguous from 0; anything after the first bad record is
-            // treated like checksum corruption and physically truncated.
-            std::uint64_t good = load.header_end;
-            std::vector<std::uint64_t> expected(boxes_.size(), 0);
-            for (std::size_t i = 0; i < load.records.size(); ++i) {
-                core::ServeEpochRecord record;
-                try {
-                    record = core::decode_epoch_record(load.records[i]);
-                    if (record.box_index < 0 ||
-                        record.box_index >=
-                            static_cast<int>(boxes_.size())) {
-                        throw std::runtime_error(
-                            "serve journal: box index out of range");
-                    }
-                    const auto bi = static_cast<std::size_t>(record.box_index);
-                    if (record.epoch != expected[bi]) {
-                        throw std::runtime_error(
-                            "serve journal: epoch out of order");
-                    }
-                    ++expected[bi];
-                } catch (const std::exception&) {
-                    break;
-                }
-                boxes_[static_cast<std::size_t>(record.box_index)]
-                    ->replay.push_back(std::move(record));
-                good = load.record_ends[i];
-            }
-            journal_ =
-                exec::JournalWriter::append_after(config_.journal_path, good);
-            resumed_ = true;
-            return;
+    // Accept the longest decodable prefix whose per-box epochs are
+    // contiguous from 0; the first bad record and everything after it
+    // are truncated, like checksum corruption.
+    std::vector<std::uint64_t> expected(boxes_.size(), 0);
+    const auto replay = [&](const std::string& payload) {
+        core::ServeEpochRecord record = core::decode_epoch_record(payload);
+        if (record.box_index < 0 ||
+            record.box_index >= static_cast<int>(boxes_.size())) {
+            throw std::runtime_error("serve journal: box index out of range");
         }
-    }
-    journal_ = exec::JournalWriter::create(config_.journal_path, header);
+        const auto bi = static_cast<std::size_t>(record.box_index);
+        if (record.epoch != expected[bi]) {
+            throw std::runtime_error("serve journal: epoch out of order");
+        }
+        ++expected[bi];
+        boxes_[bi]->replay.push_back(std::move(record));
+    };
+    exec::JournalOpen opened =
+        exec::open_journal(config_.journal_path,
+                           serve_journal_header(trace, config_),
+                           config_.resume, replay);
+    journal_ = std::move(opened.writer);
+    resumed_ = opened.resumed;
 }
 
 ServeEngine::~ServeEngine() = default;

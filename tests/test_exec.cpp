@@ -24,7 +24,6 @@
 #include "exec/io.hpp"
 #include "exec/journal.hpp"
 #include "exec/seed.hpp"
-#include "exec/shard.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "tracegen/generator.hpp"
@@ -77,8 +76,10 @@ TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
 TEST(ParallelForEachTest, CoversEveryIndexExactlyOnce) {
     exec::ThreadPool pool(4);
     std::vector<std::atomic<int>> hits(257);
-    exec::parallel_for_each(&pool, hits.size(),
-                            [&hits](std::size_t i) { hits[i].fetch_add(1); });
+    exec::parallel_for_each(&pool, hits.size(), 0,
+                            [&hits](unsigned, std::size_t i) {
+                                hits[i].fetch_add(1);
+                            });
     for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
     }
@@ -86,8 +87,11 @@ TEST(ParallelForEachTest, CoversEveryIndexExactlyOnce) {
 
 TEST(ParallelForEachTest, NullPoolRunsSeriallyInOrder) {
     std::vector<std::size_t> seen;
-    exec::parallel_for_each(nullptr, 10,
-                            [&seen](std::size_t i) { seen.push_back(i); });
+    exec::parallel_for_each(nullptr, 10, 0, [&seen](unsigned worker,
+                                                    std::size_t i) {
+        EXPECT_EQ(worker, 0u);
+        seen.push_back(i);
+    });
     std::vector<std::size_t> expected(10);
     std::iota(expected.begin(), expected.end(), 0u);
     EXPECT_EQ(seen, expected);
@@ -95,18 +99,19 @@ TEST(ParallelForEachTest, NullPoolRunsSeriallyInOrder) {
 
 TEST(ParallelForEachTest, PropagatesFirstExceptionAndKeepsPoolUsable) {
     exec::ThreadPool pool(3);
-    EXPECT_THROW(
-        exec::parallel_for_each(&pool, 64,
-                                [](std::size_t i) {
-                                    if (i == 7) {
-                                        throw std::runtime_error("boom at 7");
-                                    }
-                                }),
-        std::runtime_error);
+    EXPECT_THROW(exec::parallel_for_each(&pool, 64, 0,
+                                         [](unsigned, std::size_t i) {
+                                             if (i == 7) {
+                                                 throw std::runtime_error(
+                                                     "boom at 7");
+                                             }
+                                         }),
+                 std::runtime_error);
     // The pool must survive a failed loop and run later work.
     std::atomic<int> count{0};
-    exec::parallel_for_each(&pool, 32,
-                            [&count](std::size_t) { count.fetch_add(1); });
+    exec::parallel_for_each(&pool, 32, 0, [&count](unsigned, std::size_t) {
+        count.fetch_add(1);
+    });
     EXPECT_EQ(count.load(), 32);
 }
 
@@ -117,7 +122,7 @@ TEST(ParallelForEachTest, DeliversLowestIndexExceptionDeterministically) {
     exec::ThreadPool pool(7);
     for (int repeat = 0; repeat < 25; ++repeat) {
         try {
-            exec::parallel_for_each(&pool, 128, [](std::size_t i) {
+            exec::parallel_for_each(&pool, 128, 0, [](unsigned, std::size_t i) {
                 if (i == 5 || i == 23 || i == 77 || i == 127) {
                     throw std::runtime_error("boom " + std::to_string(i));
                 }
@@ -135,16 +140,17 @@ TEST(ParallelForEachTest, NestedCallsOnTheSamePoolComplete) {
     // deadlocks with a naive fork/join pool.
     exec::ThreadPool pool(2);
     std::atomic<int> count{0};
-    exec::parallel_for_each(&pool, 4, [&pool, &count](std::size_t) {
-        exec::parallel_for_each(&pool, 8,
-                                [&count](std::size_t) { count.fetch_add(1); });
+    exec::parallel_for_each(&pool, 4, 0, [&pool, &count](unsigned, std::size_t) {
+        exec::parallel_for_each(&pool, 8, 0, [&count](unsigned, std::size_t) {
+            count.fetch_add(1);
+        });
     });
     EXPECT_EQ(count.load(), 32);
 }
 
 TEST(ParallelForEachTest, ZeroItemsIsANoOp) {
     exec::ThreadPool pool(2);
-    exec::parallel_for_each(&pool, 0, [](std::size_t) { FAIL(); });
+    exec::parallel_for_each(&pool, 0, 0, [](unsigned, std::size_t) { FAIL(); });
 }
 
 // ------------------------------------------------------------------- seeding
@@ -699,13 +705,52 @@ TEST(JournalTest, AppendAfterPhysicallyRemovesTheTornTail) {
     std::remove(path.c_str());
 }
 
+TEST(JournalTest, OpenJournalResumesTheAcceptedPrefixOrStartsFresh) {
+    const std::string path = testing::TempDir() + "atm_journal_open.jsonl";
+    std::remove(path.c_str());
+    const auto accept_all = [](const std::string&) {};
+    {
+        exec::JournalOpen opened = exec::open_journal(path, "h", true, accept_all);
+        EXPECT_FALSE(opened.resumed);  // no file yet
+        for (const char* r : {"a", "b", "stop", "c"}) opened.writer.append(r);
+    }
+    std::vector<std::string> seen;
+    {
+        // The accept callback throws on "stop": it and every later record
+        // are truncated away, and new records follow the kept prefix.
+        exec::JournalOpen opened =
+            exec::open_journal(path, "h", true, [&seen](const std::string& r) {
+                if (r == "stop") throw std::runtime_error("bad record");
+                seen.push_back(r);
+            });
+        EXPECT_TRUE(opened.resumed);
+        opened.writer.append("d");
+    }
+    EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+    EXPECT_EQ(exec::load_journal(path).records,
+              (std::vector<std::string>{"a", "b", "d"}));
+    // Another header, or no resume, starts fresh.
+    for (const bool resume : {true, false}) {
+        const std::string header = resume ? "other" : "h";
+        {
+            exec::JournalOpen opened =
+                exec::open_journal(path, header, resume, accept_all);
+            EXPECT_FALSE(opened.resumed);
+        }
+        const exec::JournalLoad load = exec::load_journal(path);
+        EXPECT_EQ(load.header, header);
+        EXPECT_TRUE(load.records.empty());
+    }
+    std::remove(path.c_str());
+}
+
 TEST(JournalTest, AppendIsThreadSafe) {
     const std::string path = testing::TempDir() + "atm_journal_mt.jsonl";
     std::remove(path.c_str());
     {
         exec::JournalWriter writer = exec::JournalWriter::create(path, "h");
         exec::ThreadPool pool(4);
-        exec::parallel_for_each(&pool, 64, [&writer](std::size_t i) {
+        exec::parallel_for_each(&pool, 64, 0, [&writer](unsigned, std::size_t i) {
             writer.append("record-" + std::to_string(i));
         });
     }
@@ -848,23 +893,23 @@ TEST(ArenaTest, ArenaVectorUsesTheArenaAndHeapFallsBack) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded scheduler (exec/shard.hpp).
+// Sharded work claiming (exec/thread_pool.hpp).
 
 TEST(ShardTest, ResolveShardSizeRules) {
-    // Explicit request wins, clamped to n.
-    EXPECT_EQ(exec::resolve_shard_size(100, 4, 10), 10u);
-    EXPECT_EQ(exec::resolve_shard_size(5, 4, 10), 5u);
-    // Auto: ~8 shards per worker, floor 1, cap 64.
-    EXPECT_EQ(exec::resolve_shard_size(8, 8, 0), 1u);
-    EXPECT_EQ(exec::resolve_shard_size(6400, 4, 0), 64u);
-    EXPECT_GE(exec::resolve_shard_size(1000, 2, 0), 1u);
-    // Degenerate n.
-    EXPECT_EQ(exec::resolve_shard_size(0, 4, 0), 1u);
+    // ~8 shards per worker, floor 1, cap 64.
+    EXPECT_EQ(exec::resolve_shard_size(8, 8), 1u);
+    EXPECT_EQ(exec::resolve_shard_size(6400, 4), 64u);
+    EXPECT_EQ(exec::resolve_shard_size(1000, 2), 62u);
+    // Degenerate n and worker count.
+    EXPECT_EQ(exec::resolve_shard_size(0, 4), 1u);
+    EXPECT_EQ(exec::resolve_shard_size(100, 0), 12u);
 }
 
 TEST(ShardTest, SerialPathCoversEveryIndexInOrder) {
+    // A worker cap of 1 keeps the loop on the caller even with a pool.
+    exec::ThreadPool pool(3);
     std::vector<std::size_t> seen;
-    exec::run_sharded(nullptr, 10, {}, [&](unsigned worker, std::size_t i) {
+    exec::parallel_for_each(&pool, 10, 1, [&](unsigned worker, std::size_t i) {
         EXPECT_EQ(worker, 0u);
         seen.push_back(i);
     });
@@ -875,41 +920,46 @@ TEST(ShardTest, SerialPathCoversEveryIndexInOrder) {
 
 TEST(ShardTest, PooledRunCoversEveryIndexExactlyOnceWithDenseWorkerIds) {
     exec::ThreadPool pool(3);
-    exec::ShardOptions options;
-    options.workers = 4;
-    options.shard_size = 2;
     constexpr std::size_t kN = 103;
+    constexpr unsigned kWorkers = 4;
+    const std::size_t shard = exec::resolve_shard_size(kN, kWorkers);
+    ASSERT_EQ(shard, 3u);
     std::vector<std::atomic<int>> hits(kN);
-    std::vector<std::atomic<int>> worker_used(4);
-    exec::run_sharded(&pool, kN, options, [&](unsigned worker, std::size_t i) {
-        ASSERT_LT(worker, 4u);
-        worker_used[worker].fetch_add(1);
-        hits[i].fetch_add(1);
-    });
+    std::vector<std::atomic<unsigned>> ran_on(kN);
+    std::vector<std::atomic<int>> worker_used(kWorkers);
+    exec::parallel_for_each(&pool, kN, kWorkers,
+                            [&](unsigned worker, std::size_t i) {
+                                ASSERT_LT(worker, kWorkers);
+                                worker_used[worker].fetch_add(1);
+                                hits[i].fetch_add(1);
+                                ran_on[i].store(worker);
+                            });
     for (std::size_t i = 0; i < kN; ++i) {
         EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        // A claimant drains its whole contiguous shard.
+        EXPECT_EQ(ran_on[i].load(), ran_on[i - i % shard].load()) << "index " << i;
     }
-    // The caller is always worker 0 and participates.
+    // The caller is always worker 0, claims the first shard and
+    // participates.
+    EXPECT_EQ(ran_on[0].load(), 0u);
     EXPECT_GT(worker_used[0].load(), 0);
 }
 
 TEST(ShardTest, LowestIndexExceptionWins) {
+    // Multi-index shards: the lowest thrower can sit in the middle of a
+    // shard another worker claimed after a higher one threw.
     exec::ThreadPool pool(3);
-    exec::ShardOptions options;
-    options.workers = 4;
-    options.shard_size = 1;
+    ASSERT_EQ(exec::resolve_shard_size(640, 4), 20u);
     for (int repeat = 0; repeat < 20; ++repeat) {
         try {
-            exec::run_sharded(&pool, 64, options,
-                              [&](unsigned, std::size_t i) {
-                                  if (i == 7 || i == 31 || i == 50) {
-                                      throw std::runtime_error(
-                                          "fail@" + std::to_string(i));
-                                  }
-                              });
+            exec::parallel_for_each(&pool, 640, 4, [&](unsigned, std::size_t i) {
+                if (i == 47 || i == 310 || i == 500) {
+                    throw std::runtime_error("fail@" + std::to_string(i));
+                }
+            });
             FAIL() << "expected an exception";
         } catch (const std::runtime_error& e) {
-            EXPECT_STREQ(e.what(), "fail@7");
+            EXPECT_STREQ(e.what(), "fail@47");
         }
     }
 }
@@ -925,7 +975,7 @@ TEST(ShardTest, SharedPoolGrowsAndNeverShrinks) {
     EXPECT_EQ(c.size(), grown);
     // The grown pool still runs work.
     std::atomic<int> ran{0};
-    exec::run_sharded(&c, 32, {}, [&](unsigned, std::size_t) { ran++; });
+    exec::parallel_for_each(&c, 32, 0, [&](unsigned, std::size_t) { ran++; });
     EXPECT_EQ(ran.load(), 32);
 }
 

@@ -175,7 +175,7 @@ TEST(ServeJournalTest, EpochRecordRoundTripsBitExact) {
     record.epoch = 41;
     record.ladder = 1 | 4;
     record.searched = true;
-    record.retrained = 2;
+    record.retrained = 1;
     record.attempts = 3;
     record.cpu = {0.1, 1.0 / 3.0, 2.7182818284590452};
     record.ram = {12.5, 1e-17};
@@ -429,6 +429,58 @@ TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
     EXPECT_EQ(engine.next_epoch(0), 0u);
     engine.close();
     EXPECT_EQ(exec::load_journal(journal_path).header, load.header);
+    std::remove(journal_path.c_str());
+}
+
+TEST(ServeRestartTest, OutOfRangeRecordTruncatesResumeAtThatRecord) {
+    // A correctly framed record (valid checksum) whose fields are out of
+    // range must end the replayable prefix exactly like corruption: the
+    // resume keeps the records before it and truncates the rest.
+    const trace::Trace trace = tiny_trace();
+    const std::string journal_path = temp_path("serve_bad_record.journal");
+    ServeConfig config = fast_config();
+    config.journal_path = journal_path;
+    for (const bool bad_retrained : {true, false}) {
+        std::remove(journal_path.c_str());
+        config.resume = false;
+        {
+            ServeEngine engine(trace, config);
+            for (std::uint64_t epoch = 0; epoch < 6; ++epoch) {
+                engine.apply(update_at(trace, 0, epoch));
+            }
+        }
+        const exec::JournalLoad load = exec::load_journal(journal_path);
+        ASSERT_EQ(load.records.size(), 6u);
+        {
+            exec::JournalWriter writer =
+                exec::JournalWriter::create(journal_path, load.header);
+            for (std::size_t i = 0; i < load.records.size(); ++i) {
+                if (i != 3) {
+                    writer.append(load.records[i]);
+                    continue;
+                }
+                core::ServeEpochRecord record =
+                    core::decode_epoch_record(load.records[i]);
+                if (bad_retrained) {
+                    record.retrained = 2;
+                } else {
+                    record.attempts = 0;
+                }
+                writer.append(core::encode_epoch_record(record));
+            }
+        }
+        config.resume = true;
+        {
+            ServeEngine engine(trace, config);
+            EXPECT_TRUE(engine.resumed());
+            EXPECT_EQ(engine.replay_remaining(), 3u);
+        }
+        const exec::JournalLoad after = exec::load_journal(journal_path);
+        EXPECT_FALSE(after.dropped_tail);
+        EXPECT_EQ(after.records,
+                  std::vector<std::string>(load.records.begin(),
+                                           load.records.begin() + 3));
+    }
     std::remove(journal_path.c_str());
 }
 

@@ -83,9 +83,6 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .option("epsilon", "5", "discretization factor, % of VM capacity")
         .option("train-days", "5", "days of training history")
         .option("jobs", "0", "worker threads; 0 = hardware concurrency")
-        .option("shard-size", "0",
-                "boxes per scheduler shard; 0 = auto (execution knob, "
-                "never affects results)")
         .option("simd", "",
                 "force the SIMD kernel path: scalar|avx2|avx512|neon "
                 "(default: best supported; env ATM_SIMD)")
@@ -148,7 +145,6 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
     config.pipeline.epsilon_pct = parser.get_double("epsilon");
     config.pipeline.train_days = parser.get_int("train-days");
     config.jobs = parser.get_int("jobs");
-    config.shard_size = parser.get_int("shard-size");
 
     // The flag wins over a conflicting ATM_SIMD environment variable —
     // both go through simd::set_path, so an unsupported choice is a
@@ -312,7 +308,7 @@ int cmd_predict(int argc, char** argv) {
     config.stop = &g_stop;
     // Trace loading happens outside any box pipeline, so its metrics live
     // in a CLI-owned registry merged into the report as `extra`.
-    obs::MetricsRegistry cli_metrics(config.collect_metrics);
+    obs::MetricsRegistry cli_metrics;
     const trace::Trace t = trace::read_trace_any_file(
         parser.get("trace.csv"), 96,
         config.collect_metrics ? &cli_metrics : nullptr);
@@ -387,7 +383,7 @@ int cmd_resize(int argc, char** argv) {
     }
     install_sigint_drain();
     config.stop = &g_stop;
-    obs::MetricsRegistry cli_metrics(config.collect_metrics);
+    obs::MetricsRegistry cli_metrics;
     const trace::Trace t = trace::read_trace_any_file(
         parser.get("trace.csv"), 96,
         config.collect_metrics ? &cli_metrics : nullptr);
