@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <span>
@@ -297,6 +298,26 @@ void BM_MlpTrainBox(benchmark::State& state, simd::Path path) {
     simd::set_path(ambient);
 }
 
+/// The MLP hidden-unit tanh (KernelTable::mlp_activate) over a
+/// 4096-element buffer of N(0, 1.5) pre-activations, per table; the
+/// items/s rate is activations per second.
+void BM_MlpActivation(benchmark::State& state, simd::Path path) {
+    const simd::KernelTable& table = simd::kernels_for(path);
+    std::mt19937 rng(42);
+    std::normal_distribution<double> pre(0.0, 1.5);
+    std::vector<double> in(4096);
+    for (double& x : in) x = pre(rng);
+    std::vector<double> out(in.size());
+    for (auto _ : state) {
+        table.mlp_activate(simd::MlpActivation::kTanh, in.data(), out.data(),
+                           in.size());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(in.size()));
+}
+
 /// Pairwise banded DTW matrix under a pinned SIMD kernel path — one row
 /// per (path, days) pair so BENCH_kernels.json carries the scalar vs
 /// vector speedup explicitly instead of only the dispatched winner.
@@ -332,6 +353,10 @@ void register_per_path_benchmarks() {
             ("BM_MlpTrainBox" + tag).c_str(),
             [path](benchmark::State& state) { BM_MlpTrainBox(state, path); })
             ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_MlpActivation" + tag).c_str(),
+            [path](benchmark::State& state) { BM_MlpActivation(state, path); })
+            ->Unit(benchmark::kMicrosecond);
     }
 }
 

@@ -10,16 +10,17 @@ namespace atm::core {
 /// Schema tag of the fleet checkpoint journal's header record. Bump when
 /// the record encoding changes incompatibly, or when a build's results
 /// change under an otherwise identical header (v2: vector-path MLP
-/// numerics became the scalar path's): a resume against an older
-/// journal then starts fresh instead of mis-decoding or mixing results.
-inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v2";
+/// numerics became the scalar path's; v3: MLP activations moved from
+/// libm to the project's own): a resume against an older journal then
+/// starts fresh instead of mis-decoding or mixing results.
+inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v3";
 
 /// Schema tag of the serve daemon's epoch journal. Same framing as the
 /// fleet journal (exec::JournalWriter), but each record is one applied
 /// streaming window rather than one finished box. Versioned like the
-/// fleet journal (v2 for the same reason), so an older daemon's journal
-/// restarts fresh instead of tripping the replay-divergence check.
-inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v2";
+/// fleet journal (v2 and v3 for the same reasons), so an older daemon's
+/// journal restarts fresh instead of tripping the replay-divergence check.
+inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
 
 /// Digest of everything about the *input data* that affects per-box
 /// results: windows_per_day, per-box names/gap flags/VM counts and the

@@ -21,7 +21,19 @@ struct VecAvx2 {
     static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
     static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
     static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+    static Reg div(Reg a, Reg b) { return _mm256_div_pd(a, b); }
     static Reg min(Reg a, Reg b) { return _mm256_min_pd(a, b); }
+    static Reg bit_and(Reg a, Reg b) { return _mm256_and_pd(a, b); }
+    static Reg bit_andnot(Reg a, Reg b) { return _mm256_andnot_pd(a, b); }
+    static Reg bit_or(Reg a, Reg b) { return _mm256_or_pd(a, b); }
+    static Reg select_gt(Reg a, Reg b, Reg t, Reg f) {
+        return _mm256_blendv_pd(f, t, _mm256_cmp_pd(a, b, _CMP_GT_OQ));
+    }
+    static Reg add_exponent(Reg y, Reg t) {
+        return _mm256_castsi256_pd(
+            _mm256_add_epi64(_mm256_castpd_si256(y),
+                             _mm256_slli_epi64(_mm256_castpd_si256(t), 52)));
+    }
 };
 
 double dtw_distance_avx2(const double* p, std::size_t n, const double* q,
@@ -49,6 +61,7 @@ const KernelTable& avx2_kernel_table() {
         /*dtw_batch_width=*/VecAvx2::kWidth,
         dtw_distance_batch_avx2,
         mlp_train_batch_avx2,
+        mlp_activate_array<VecAvx2>,
     };
     return table;
 }

@@ -21,7 +21,27 @@ struct VecNeon {
     static Reg add(Reg a, Reg b) { return vaddq_f64(a, b); }
     static Reg sub(Reg a, Reg b) { return vsubq_f64(a, b); }
     static Reg mul(Reg a, Reg b) { return vmulq_f64(a, b); }
+    static Reg div(Reg a, Reg b) { return vdivq_f64(a, b); }
     static Reg min(Reg a, Reg b) { return vminq_f64(a, b); }
+    static Reg bit_and(Reg a, Reg b) {
+        return as_f64(vandq_u64(as_u64(a), as_u64(b)));
+    }
+    static Reg bit_andnot(Reg a, Reg b) {
+        return as_f64(vbicq_u64(as_u64(b), as_u64(a)));  // b & ~a
+    }
+    static Reg bit_or(Reg a, Reg b) {
+        return as_f64(vorrq_u64(as_u64(a), as_u64(b)));
+    }
+    static Reg select_gt(Reg a, Reg b, Reg t, Reg f) {
+        return vbslq_f64(vcgtq_f64(a, b), t, f);
+    }
+    static Reg add_exponent(Reg y, Reg t) {
+        return as_f64(vaddq_u64(as_u64(y), vshlq_n_u64(as_u64(t), 52)));
+    }
+
+private:
+    static uint64x2_t as_u64(Reg r) { return vreinterpretq_u64_f64(r); }
+    static Reg as_f64(uint64x2_t r) { return vreinterpretq_f64_u64(r); }
 };
 
 double dtw_distance_neon(const double* p, std::size_t n, const double* q,
@@ -49,6 +69,7 @@ const KernelTable& neon_kernel_table() {
         /*dtw_batch_width=*/VecNeon::kWidth,
         dtw_distance_batch_neon,
         mlp_train_batch_neon,
+        mlp_activate_array<VecNeon>,
     };
     return table;
 }

@@ -89,6 +89,7 @@ const KernelTable& scalar_kernel_table() {
         /*dtw_batch_width=*/1,
         dtw_distance_batch_scalar,
         mlp_train_batch_scalar,
+        mlp_activate_array<VecScalar>,
     };
     return table;
 }
@@ -97,12 +98,9 @@ double mlp_predict(const MlpShape& shape, const double* params,
                    const double* inputs, MlpScratch& scratch) {
     const MlpOffsets off = mlp_offsets(shape, scratch.offsets);
     if (scratch.acts.size() < off.acts_total) scratch.acts.resize(off.acts_total);
-    if (scratch.pres.size() < off.units_total) scratch.pres.resize(off.units_total);
     const auto in = static_cast<std::size_t>(shape.layer_sizes[0]);
     std::copy(inputs, inputs + in, scratch.acts.begin());
-    const std::size_t lane = 0;
-    mlp_forward_lanes<VecScalar>(shape, off, params, scratch.acts.data(),
-                                 scratch.pres.data(), &lane, 1);
+    mlp_forward_lanes<VecScalar>(shape, off, params, scratch.acts.data());
     return scratch.acts[off.acts_total - 1];
 }
 

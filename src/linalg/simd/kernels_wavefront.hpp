@@ -6,11 +6,23 @@
 //   V::Reg                         register type
 //   V::zero() / V::set1(x)         broadcast constructors
 //   V::loadu(p) / V::storeu(p, r)  unaligned load/store
-//   V::add / V::sub / V::mul / V::min   lane-wise arithmetic
+//   V::add / sub / mul / div / min lane-wise IEEE arithmetic
+//   V::bit_and / bit_or(a, b)      bitwise a & b, a | b
+//   V::bit_andnot(a, b)            bitwise ~a & b
+//   V::select_gt(a, b, t, f)       per lane a > b ? t : f (f when either
+//                                  of a, b is NaN)
+//   V::add_exponent(y, t)          bits(y) + (bits(t) << 52) as 64-bit
+//                                  integers: adds t's low mantissa bits
+//                                  to y's exponent field
 // Each ISA translation unit (kernels_avx2.cpp, …) defines its traits and
 // instantiates these templates under the matching target flags; this
 // header itself must stay ISA-agnostic. All remainder lanes fall back to
 // scalar tails that evaluate the identical per-element expressions.
+//
+// Everything here has internal linkage (the unnamed namespace below):
+// each kernel TU gets its own copy of every instantiation, compiled
+// under that TU's target flags, so the linker can never hand the scalar
+// table an AVX-512 build of a shared template (or the reverse).
 //
 // DTW layout: instead of the scalar kernel's row-by-row sweep, cells are
 // visited by anti-diagonal d = i + j. Every cell on one diagonal depends
@@ -24,8 +36,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
@@ -33,6 +47,7 @@
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
+namespace {
 
 inline constexpr double kWavefrontInf = std::numeric_limits<double>::infinity();
 
@@ -239,19 +254,129 @@ struct VecScalar {
     static Reg add(Reg a, Reg b) { return a + b; }
     static Reg sub(Reg a, Reg b) { return a - b; }
     static Reg mul(Reg a, Reg b) { return a * b; }
+    static Reg div(Reg a, Reg b) { return a / b; }
+    static Reg min(Reg a, Reg b) { return std::min(a, b); }
+    static Reg bit_and(Reg a, Reg b) { return from_bits(bits(a) & bits(b)); }
+    static Reg bit_andnot(Reg a, Reg b) { return from_bits(~bits(a) & bits(b)); }
+    static Reg bit_or(Reg a, Reg b) { return from_bits(bits(a) | bits(b)); }
+    static Reg select_gt(Reg a, Reg b, Reg t, Reg f) { return a > b ? t : f; }
+    static Reg add_exponent(Reg y, Reg t) {
+        return from_bits(bits(y) + (bits(t) << 52));
+    }
+
+private:
+    static std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+    static double from_bits(std::uint64_t b) { return std::bit_cast<double>(b); }
 };
 
-inline double mlp_activate(MlpActivation activation, double x) {
+// ---- MLP activations -------------------------------------------------------
+//
+// The hidden-unit activations every MLP kernel and simd::mlp_predict
+// evaluate: a fixed sequence of the trait ops above (no FMA, no libm), so
+// a lane of any table computes exactly what VecScalar computes and the
+// results belong to this code rather than to the host's libm build.
+// tanh and the exponential follow Cephes (tanh.c, exp.c); tanh and
+// sigmoid stay within 2 ULP of glibc's tanh and 1 / (1 + exp(−x)) on
+// [−25, 25] (tests/test_simd.cpp pins this).
+
+/// e^r for r in [−708, 708]: Cody–Waite reduction r = n·ln2 + f with n
+/// rounded to nearest by the 0x1.8p52 shifter (whose low mantissa bits
+/// then hold n), a (3,3) Padé approximant e^f = 1 + 2f·P/(Q − f·P), and
+/// the scale 2^n built by shifting n into the exponent of 1.0. Lanes
+/// outside that range get meaningless values, which the callers select
+/// away; a NaN lane stays NaN.
+template <typename V>
+typename V::Reg mlp_exp(typename V::Reg r) {
+    using Reg = typename V::Reg;
+    const Reg shifter = V::set1(0x1.8p52);
+    const Reg t = V::add(V::mul(r, V::set1(1.4426950408889634073599)), shifter);
+    const Reg n = V::sub(t, shifter);
+    r = V::sub(r, V::mul(n, V::set1(6.93145751953125e-1)));
+    r = V::sub(r, V::mul(n, V::set1(1.42860682030941723212e-6)));
+    const Reg rr = V::mul(r, r);
+    Reg p = V::add(V::mul(V::set1(1.26177193074810590878e-4), rr),
+                   V::set1(3.02994407707441961300e-2));
+    p = V::mul(r, V::add(V::mul(p, rr), V::set1(9.99999999999999999910e-1)));
+    Reg q = V::add(V::mul(V::set1(3.00198505138664455042e-6), rr),
+                   V::set1(2.52448340349684104192e-3));
+    q = V::add(V::mul(q, rr), V::set1(2.27265548208155028766e-1));
+    q = V::add(V::mul(q, rr), V::set1(2.00000000000000000009e0));
+    Reg y = V::div(p, V::sub(q, p));
+    y = V::add(V::set1(1.0), V::add(y, y));
+    return V::mul(y, V::add_exponent(V::set1(1.0), t));
+}
+
+/// tanh on |x|, sign ORed back last (so ±0 and subnormals keep their
+/// sign and value): |x| ≤ 0.625 takes |x| + |x|·z·P(z)/Q(z) with
+/// z = x², larger |x| takes 1 − 2/(e^{2|x|} + 1) with 2|x| clamped at 44
+/// (every |x| ≥ 19.1 rounds to exactly 1). A NaN lane fails the
+/// comparison and takes the polynomial branch, which never goes through
+/// min (whose NaN rule differs between x86 and NEON), so it stays NaN.
+template <typename V>
+typename V::Reg mlp_tanh(typename V::Reg x) {
+    using Reg = typename V::Reg;
+    const Reg sign_bit = V::set1(-0.0);
+    const Reg one = V::set1(1.0);
+    const Reg a = V::bit_andnot(sign_bit, x);
+    const Reg z = V::mul(a, a);
+    Reg p = V::add(V::mul(V::set1(-9.64399179425052238628e-1), z),
+                   V::set1(-9.92877231001918586564e1));
+    p = V::add(V::mul(p, z), V::set1(-1.61468768441708447952e3));
+    Reg q = V::add(z, V::set1(1.12811678491632931402e2));
+    q = V::add(V::mul(q, z), V::set1(2.23548839060100448583e3));
+    q = V::add(V::mul(q, z), V::set1(4.84406305325125486048e3));
+    const Reg small = V::add(a, V::mul(V::mul(a, z), V::div(p, q)));
+    const Reg e = mlp_exp<V>(V::min(V::add(a, a), V::set1(44.0)));
+    const Reg large = V::sub(one, V::div(V::set1(2.0), V::add(e, one)));
+    const Reg t = V::select_gt(a, V::set1(0.625), large, small);
+    return V::bit_or(t, V::bit_and(sign_bit, x));
+}
+
+/// 1 / (1 + e^−x). |x| > 708 gives exactly 1 (x > 0) or 0 (x < 0), the
+/// latter where libm's exp(−x) would still be finite up to −709.78; a NaN
+/// lane fails that comparison and carries its NaN through the exp.
+template <typename V>
+typename V::Reg mlp_sigmoid(typename V::Reg x) {
+    using Reg = typename V::Reg;
+    const Reg zero = V::zero();
+    const Reg one = V::set1(1.0);
+    const Reg r = V::div(one, V::add(one, mlp_exp<V>(V::sub(zero, x))));
+    const Reg saturated = V::select_gt(x, zero, one, zero);
+    const Reg a = V::bit_andnot(V::set1(-0.0), x);
+    return V::select_gt(a, V::set1(708.0), saturated, r);
+}
+
+template <typename V>
+typename V::Reg mlp_activate(MlpActivation activation, typename V::Reg x) {
     switch (activation) {
-        case MlpActivation::kTanh: return std::tanh(x);
-        case MlpActivation::kRelu: return x > 0.0 ? x : 0.0;
-        case MlpActivation::kSigmoid: return 1.0 / (1.0 + std::exp(-x));
+        case MlpActivation::kTanh: return mlp_tanh<V>(x);
+        case MlpActivation::kRelu: return V::select_gt(x, V::zero(), x, V::zero());
+        case MlpActivation::kSigmoid: return mlp_sigmoid<V>(x);
     }
     return x;
 }
 
+/// KernelTable::mlp_activate: out[i] = activation(in[i]), kWidth at a
+/// time; the tail runs through one zero-padded register.
+template <typename V>
+void mlp_activate_array(MlpActivation activation, const double* in,
+                        double* out, std::size_t n) {
+    constexpr std::size_t kW = V::kWidth;
+    std::size_t i = 0;
+    for (; i + kW <= n; i += kW) {
+        V::storeu(out + i, mlp_activate<V>(activation, V::loadu(in + i)));
+    }
+    if (i < n) {
+        alignas(64) std::array<double, kW> tail{};
+        std::copy(in + i, in + n, tail.begin());
+        V::storeu(tail.data(), mlp_activate<V>(activation, V::loadu(tail.data())));
+        std::copy(tail.begin(), tail.begin() + static_cast<std::ptrdiff_t>(n - i),
+                  out + i);
+    }
+}
+
 /// Per-layer offsets into the lane buffers, in lane-free units (multiply
-/// by the lane width): acts offset of layer l, pres/deltas offset of
+/// by the lane width): acts offset of layer l, deltas offset of
 /// weight layer l's units, params offset of weight layer l.
 struct MlpOffsets {
     const std::size_t* act;
@@ -291,10 +416,9 @@ inline MlpOffsets mlp_offsets(const MlpShape& shape, ScratchIdxVec& buf) {
 template <typename V>
 void mlp_forward_layer_lanes(const double* __restrict w,
                              const double* __restrict in,
-                             double* __restrict pre, double* __restrict out,
-                             std::size_t fan_in, std::size_t fan_out,
-                             bool hidden, MlpActivation activation,
-                             const std::size_t* live, std::size_t num_live) {
+                             double* __restrict out, std::size_t fan_in,
+                             std::size_t fan_out, bool hidden,
+                             MlpActivation activation) {
     constexpr std::size_t kW = V::kWidth;
     const double* bias = w + fan_out * fan_in * kW;
     for (std::size_t j = 0; j < fan_out; ++j) {
@@ -303,17 +427,9 @@ void mlp_forward_layer_lanes(const double* __restrict w,
         for (std::size_t i = 0; i < fan_in; ++i) {
             acc = V::add(acc, V::mul(V::loadu(row + i * kW), V::loadu(in + i * kW)));
         }
-        V::storeu(pre + j * kW, acc);
-        if (!hidden) V::storeu(out + j * kW, acc);  // linear output unit
-    }
-    if (!hidden) return;
-    // Activations after the layer's vector work, so no vector state is
-    // live across the (caller-clobbering) libm calls.
-    for (std::size_t j = 0; j < fan_out; ++j) {
-        for (std::size_t k = 0; k < num_live; ++k) {
-            const std::size_t b = live[k];
-            out[j * kW + b] = mlp_activate(activation, pre[j * kW + b]);
-        }
+        // Hidden units take the activation in every lane at once; the
+        // output unit is linear.
+        V::storeu(out + j * kW, hidden ? mlp_activate<V>(activation, acc) : acc);
     }
 }
 
@@ -321,35 +437,35 @@ void mlp_forward_layer_lanes(const double* __restrict w,
 /// b at buf[e * kWidth + b]). The first layer_sizes[0] activations hold
 /// the inputs. Per lane this is the scalar sequence: pre = bias, then
 /// pre += w[i] * in[i] for ascending i, unfused; hidden units then take
-/// the scalar activation, evaluated only on the `num_live` lanes listed
-/// in `live` (other lanes keep stale, finite values nobody reads).
+/// mlp_activate. Idle lanes sit on zeroed parameters, so they compute
+/// activation(0) and stay finite.
 template <typename V>
 void mlp_forward_lanes(const MlpShape& shape, const MlpOffsets& off,
-                       const double* params, double* acts, double* pres,
-                       const std::size_t* live, std::size_t num_live) {
+                       const double* params, double* acts) {
     constexpr std::size_t kW = V::kWidth;
     for (std::size_t l = 0; l + 1 < shape.num_layers; ++l) {
         mlp_forward_layer_lanes<V>(
             params + off.param[l] * kW, acts + off.act[l] * kW,
-            pres + off.unit[l] * kW, acts + off.act[l + 1] * kW,
+            acts + off.act[l + 1] * kW,
             static_cast<std::size_t>(shape.layer_sizes[l]),
             static_cast<std::size_t>(shape.layer_sizes[l + 1]),
-            l + 2 < shape.num_layers, shape.activation, live, num_live);
+            l + 2 < shape.num_layers, shape.activation);
     }
 }
 
 /// Hidden-layer backprop on lane-interleaved buffers (never overlapping):
 /// delta[j] = (Σ_k next_w[k*width + j] * next_delta[k], k ascending from
-/// 0.0) × the activation gradient at (act[j], pre[j]).
+/// 0.0) × the activation gradient at act[j] (ReLU's 1-or-0 factor reads
+/// act > 0, which holds exactly where its pre-activation was > 0).
 template <typename V>
 void mlp_backprop_layer_lanes(const double* __restrict next_w,
                               const double* __restrict next_delta,
                               const double* __restrict act,
-                              const double* __restrict pre,
                               double* __restrict delta, std::size_t width,
                               std::size_t next_fan_out,
                               MlpActivation activation) {
     constexpr std::size_t kW = V::kWidth;
+    const auto zero = V::zero();
     const auto one = V::set1(1.0);
     for (std::size_t j = 0; j < width; ++j) {
         auto acc = V::zero();
@@ -365,14 +481,9 @@ void mlp_backprop_layer_lanes(const double* __restrict next_w,
             case MlpActivation::kSigmoid:
                 acc = V::mul(acc, V::mul(a, V::sub(one, a)));
                 break;
-            case MlpActivation::kRelu: {
-                alignas(64) std::array<double, kW> grad;
-                for (std::size_t b = 0; b < kW; ++b) {
-                    grad[b] = pre[j * kW + b] > 0.0 ? 1.0 : 0.0;
-                }
-                acc = V::mul(acc, V::loadu(grad.data()));
+            case MlpActivation::kRelu:
+                acc = V::mul(acc, V::select_gt(a, zero, one, zero));
                 break;
-            }
         }
         V::storeu(delta + j * kW, acc);
     }
@@ -455,7 +566,6 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
     double* params = zeroed(scratch.params, off.params_total * kW);
     double* velocity = zeroed(scratch.velocity, off.params_total * kW);
     double* acts = zeroed(scratch.acts, off.acts_total * kW);
-    double* pres = zeroed(scratch.pres, off.units_total * kW);
     double* deltas = zeroed(scratch.deltas, off.units_total * kW);
     if (scratch.order.size() < train_rows * kW) {
         scratch.order.resize(train_rows * kW);
@@ -555,8 +665,7 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
         auto loss = V::zero();
         for (std::size_t step = 0; step < train_rows; ++step) {
             gather([&](std::size_t b) { return orders[b * train_rows + step]; });
-            mlp_forward_lanes<V>(shape, off, params, acts, pres, live.data(),
-                                 num_live);
+            mlp_forward_lanes<V>(shape, off, params, acts);
             const auto err =
                 V::sub(V::loadu(acts + out_act * kW), V::loadu(target.data()));
             loss = V::add(loss, V::mul(err, err));
@@ -568,8 +677,7 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
             for (std::size_t l = shape.num_layers - 2; l-- > 0;) {
                 mlp_backprop_layer_lanes<V>(
                     params + off.param[l + 1] * kW, deltas + off.unit[l + 1] * kW,
-                    acts + off.act[l + 1] * kW, pres + off.unit[l] * kW,
-                    deltas + off.unit[l] * kW,
+                    acts + off.act[l + 1] * kW, deltas + off.unit[l] * kW,
                     static_cast<std::size_t>(shape.layer_sizes[l + 1]),
                     static_cast<std::size_t>(shape.layer_sizes[l + 2]),
                     shape.activation);
@@ -591,8 +699,7 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
             auto val = V::zero();
             for (std::size_t row = train_rows; row < rows; ++row) {
                 gather([row](std::size_t) { return row; });
-                mlp_forward_lanes<V>(shape, off, params, acts, pres,
-                                     live.data(), num_live);
+                mlp_forward_lanes<V>(shape, off, params, acts);
                 const auto err = V::sub(V::loadu(acts + out_act * kW),
                                         V::loadu(target.data()));
                 val = V::add(val, V::mul(err, err));
@@ -626,4 +733,5 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
     }
 }
 
+}  // namespace
 }  // namespace atm::simd

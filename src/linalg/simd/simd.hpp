@@ -30,9 +30,11 @@
 ///     three cells in every traversal.
 ///   * MLP: vector paths train one network per SIMD lane. Each lane runs
 ///     the scalar operation sequence — ascending-index dot products
-///     seeded with the bias, unfused multiply/add, glibc's scalar
-///     activation called per lane — so nothing is ever reassociated and
-///     every lane's weights equal a one-network scalar run bit for bit.
+///     seeded with the bias, unfused multiply/add, and the project's own
+///     activations (KernelTable::mlp_activate: IEEE add/sub/mul/div, min,
+///     bitwise ops and lane selects, no libm) — so nothing is ever
+///     reassociated and every lane's weights equal a one-network scalar
+///     run bit for bit, on any host's libm.
 namespace atm::simd {
 
 /// Instruction-set paths a build may carry. kScalar is always compiled
@@ -167,7 +169,6 @@ struct MlpScratch {
         : params(exec::ArenaAllocator<double>(arena)),
           velocity(exec::ArenaAllocator<double>(arena)),
           acts(exec::ArenaAllocator<double>(arena)),
-          pres(exec::ArenaAllocator<double>(arena)),
           deltas(exec::ArenaAllocator<double>(arena)),
           order(exec::ArenaAllocator<std::size_t>(arena)),
           offsets(exec::ArenaAllocator<std::size_t>(arena)) {}
@@ -175,7 +176,6 @@ struct MlpScratch {
     ScratchVec params;
     ScratchVec velocity;
     ScratchVec acts;    ///< activations, every layer incl. the inputs
-    ScratchVec pres;    ///< pre-activations, layers 1..L
     ScratchVec deltas;  ///< backprop deltas, layers 1..L
     ScratchIdxVec order;
     ScratchIdxVec offsets;  ///< per-layer acts/unit/param offsets
@@ -230,6 +230,15 @@ struct KernelTable {
     /// trains the jobs one after another.
     void (*mlp_train_batch)(const MlpBatch& batch, MlpBatchJob* jobs,
                             std::size_t count, MlpScratch& scratch);
+
+    /// out[i] = activation(in[i]) for i < n: the hidden-unit activation
+    /// every MLP kernel and mlp_predict evaluate, bit-identical on every
+    /// path. tanh is within 2 ULP of glibc's on [−25, 25], keeps ±0,
+    /// subnormals and NaN, and is exactly ±1 from |x| ≥ 19.1; sigmoid is
+    /// 1 / (1 + e^−x) through the same exponential (exactly 0 below
+    /// x = −708); relu is x > 0 ? x : 0. `in` and `out` may be equal.
+    void (*mlp_activate)(MlpActivation activation, const double* in,
+                         double* out, std::size_t n);
 };
 
 /// ULP distance between two finite doubles (0 when bit-equal, including

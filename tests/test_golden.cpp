@@ -149,7 +149,8 @@ json::Value golden_view(const core::FleetResult& fleet) {
 
 /// Recursive compare: exact for strings/bools/integers/structure, a tiny
 /// relative tolerance for non-integral numbers (doubles cross compiler
-/// and libm versions; APEs agree to ~1e-12 but we allow 1e-9).
+/// versions, and code outside the MLP kernels still calls libm; APEs
+/// agree to ~1e-12 but we allow 1e-9).
 void expect_json_near(const json::Value& expected, const json::Value& actual,
                       const std::string& path) {
     ASSERT_EQ(expected.type, actual.type) << "at " << path;
@@ -230,8 +231,10 @@ TEST(GoldenFleetTest, ScalarPathRegenerationIsByteIdentical) {
     // The ATM_UPDATE_GOLDEN contract: regenerating on the scalar path is
     // deterministic down to the byte, so a golden diff always means a
     // real behavior change, never FP noise. (Cross-machine the doubles
-    // may still vary with libm — that is what expect_json_near's 1e-9
-    // absorbs — but one machine must reproduce itself exactly.)
+    // may still vary with libm outside the MLP kernels, whose
+    // activations are the project's own — that is what
+    // expect_json_near's 1e-9 absorbs — but one machine must reproduce
+    // itself exactly.)
     const ScopedSimdPath scoped(simd::Path::kScalar);
     const trace::Trace t = golden_trace();
     const core::FleetResult first =

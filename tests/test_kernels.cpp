@@ -24,6 +24,7 @@
 #include "linalg/matrix.hpp"
 #include "linalg/ols.hpp"
 #include "linalg/ridge.hpp"
+#include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 
 // ---- Counting allocator -----------------------------------------------------
@@ -258,10 +259,19 @@ TEST(KernelsFlatMatrixTest, ConvertsFromNestedVectorsAndRejectsRagged) {
 
 // ---- MLP -------------------------------------------------------------------
 
+/// The project's tanh (KernelTable::mlp_activate, the same on every
+/// path), one value at a time.
+double project_tanh(double x) {
+    double y = 0.0;
+    simd::kernels_for(simd::Path::kScalar)
+        .mlp_activate(simd::MlpActivation::kTanh, &x, &y, 1);
+    return y;
+}
+
 // Nested-vector reference network replicating the historical layout:
 // weights[l][j][i] drawn row-by-row from mt19937(seed), tanh hidden
-// units, linear output. The flattened MlpNetwork must reproduce its
-// forward pass bit-for-bit for the same seed.
+// units (the project's), linear output. The flattened MlpNetwork must
+// reproduce its forward pass bit-for-bit for the same seed.
 struct ReferenceMlp {
     std::vector<std::vector<std::vector<double>>> weights;
     std::vector<std::vector<double>> biases;
@@ -293,7 +303,7 @@ struct ReferenceMlp {
                 for (std::size_t i = 0; i < weights[l][j].size(); ++i) {
                     acc += weights[l][j][i] * acts[i];
                 }
-                next[j] = l + 1 == weights.size() ? acc : std::tanh(acc);
+                next[j] = l + 1 == weights.size() ? acc : project_tanh(acc);
             }
             acts = std::move(next);
         }

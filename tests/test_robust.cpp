@@ -655,10 +655,11 @@ TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
 }
 
 TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
-    // A checkpoint written by a v1 build — same trace, config, seed and
-    // SIMD path, but older vector-path MLP numerics — must not be
-    // replayed into a v2 run's results: the version alone sends it down
-    // the header-mismatch path. Control: the v2 journal itself resumes.
+    // A checkpoint written by an older build — same trace, config, seed
+    // and SIMD path, but older MLP numerics (v1: vector-path arithmetic,
+    // v2: libm activations) — must not be replayed into a v3 run's
+    // results: the version alone sends it down the header-mismatch path.
+    // Control: the v3 journal itself resumes.
     const trace::Trace t = chaos_trace(4);
     const std::string path = journal_path("atm_resume_v1.jsonl");
     core::FleetConfig first = chaos_config("", 1);
@@ -666,25 +667,28 @@ TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
     const core::FleetResult fresh = core::run_pipeline_on_fleet(t, first);
     const exec::JournalLoad load = exec::load_journal(path);
     ASSERT_EQ(load.records.size(), 4u);
-    const std::string v2 = core::kFleetJournalSchema;
-    ASSERT_EQ(v2, "atm.fleet-journal.v2");
-    std::string v1_header = load.header;
-    const std::size_t at = v1_header.find(v2);
+    const std::string current = core::kFleetJournalSchema;
+    ASSERT_EQ(current, "atm.fleet-journal.v3");
+    const std::size_t at = load.header.find(current);
     ASSERT_NE(at, std::string::npos);
-    v1_header.replace(at, v2.size(), "atm.fleet-journal.v1");
 
     core::FleetConfig resume = chaos_config("", 1);
     resume.checkpoint_path = path;
     resume.resume = true;
     EXPECT_EQ(core::run_pipeline_on_fleet(t, resume).boxes_replayed, 4u);
-    {
-        exec::JournalWriter writer = exec::JournalWriter::create(path, v1_header);
-        for (const std::string& record : load.records) writer.append(record);
+    for (const char* older : {"atm.fleet-journal.v1", "atm.fleet-journal.v2"}) {
+        SCOPED_TRACE(older);
+        std::string old_header = load.header;
+        old_header.replace(at, current.size(), older);
+        {
+            exec::JournalWriter writer = exec::JournalWriter::create(path, old_header);
+            for (const std::string& record : load.records) writer.append(record);
+        }
+        const core::FleetResult resumed = core::run_pipeline_on_fleet(t, resume);
+        EXPECT_EQ(resumed.boxes_replayed, 0u);
+        expect_fleet_equal(fresh, resumed);
+        EXPECT_EQ(exec::load_journal(path).header, load.header);
     }
-    const core::FleetResult resumed = core::run_pipeline_on_fleet(t, resume);
-    EXPECT_EQ(resumed.boxes_replayed, 0u);
-    expect_fleet_equal(fresh, resumed);
-    EXPECT_EQ(exec::load_journal(path).header, load.header);
     std::remove(path.c_str());
 }
 

@@ -388,10 +388,11 @@ TEST(ServeRestartTest, HeaderMismatchStartsFresh) {
 }
 
 TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
-    // A journal written by a v1 build (same trace, config, seed and SIMD
-    // path, older MLP numerics) must take the header-mismatch path and
-    // start fresh, never replay into the divergence check. Control: the
-    // untouched v2 journal does resume.
+    // A journal written by an older build (same trace, config, seed and
+    // SIMD path; v1: older vector-path MLP numerics, v2: libm
+    // activations) must take the header-mismatch path and start fresh,
+    // never replay into the divergence check. Control: the untouched v3
+    // journal does resume.
     const trace::Trace trace = tiny_trace();
     const std::string journal_path = temp_path("serve_v1.journal");
     std::remove(journal_path.c_str());
@@ -405,12 +406,10 @@ TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
     }
     const exec::JournalLoad load = exec::load_journal(journal_path);
     ASSERT_EQ(load.records.size(), 30u);
-    const std::string v2 = core::kServeJournalSchema;
-    ASSERT_EQ(v2, "atm.serve-journal.v2");
-    std::string v1_header = load.header;
-    const std::size_t at = v1_header.find(v2);
+    const std::string current = core::kServeJournalSchema;
+    ASSERT_EQ(current, "atm.serve-journal.v3");
+    const std::size_t at = load.header.find(current);
     ASSERT_NE(at, std::string::npos);
-    v1_header.replace(at, v2.size(), "atm.serve-journal.v1");
 
     config.resume = true;
     {
@@ -418,17 +417,22 @@ TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
         EXPECT_TRUE(engine.resumed());
         EXPECT_EQ(engine.replay_remaining(), 30u);
     }
-    {
-        exec::JournalWriter writer =
-            exec::JournalWriter::create(journal_path, v1_header);
-        for (const std::string& record : load.records) writer.append(record);
+    for (const char* older : {"atm.serve-journal.v1", "atm.serve-journal.v2"}) {
+        SCOPED_TRACE(older);
+        std::string old_header = load.header;
+        old_header.replace(at, current.size(), older);
+        {
+            exec::JournalWriter writer =
+                exec::JournalWriter::create(journal_path, old_header);
+            for (const std::string& record : load.records) writer.append(record);
+        }
+        ServeEngine engine(trace, config);
+        EXPECT_FALSE(engine.resumed());
+        EXPECT_EQ(engine.replay_remaining(), 0u);
+        EXPECT_EQ(engine.next_epoch(0), 0u);
+        engine.close();
+        EXPECT_EQ(exec::load_journal(journal_path).header, load.header);
     }
-    ServeEngine engine(trace, config);
-    EXPECT_FALSE(engine.resumed());
-    EXPECT_EQ(engine.replay_remaining(), 0u);
-    EXPECT_EQ(engine.next_epoch(0), 0u);
-    engine.close();
-    EXPECT_EQ(exec::load_journal(journal_path).header, load.header);
     std::remove(journal_path.c_str());
 }
 

@@ -378,6 +378,201 @@ TEST(SimdDtwTest, DistanceMatrixAndCellCountersIdenticalAcrossPaths) {
 }
 
 // ---------------------------------------------------------------------
+// MLP activations: accuracy against libm, special values, and every path
+// bitwise equal to scalar
+
+/// `activation` over `xs` through `path`'s table.
+std::vector<double> activate_on(Path path, MlpActivation activation,
+                                const std::vector<double>& xs) {
+    std::vector<double> out(xs.size());
+    kernels_for(path).mlp_activate(activation, xs.data(), out.data(), xs.size());
+    return out;
+}
+
+/// 200001 points spread evenly over [−25, 25] (non-dyadic step, so the
+/// points carry full mantissas), plus both neighbours of tanh's branch
+/// point ±0.625.
+std::vector<double> activation_sweep() {
+    std::vector<double> xs;
+    const std::size_t n = 200001;
+    for (std::size_t i = 0; i < n; ++i) {
+        xs.push_back(-25.0 + 50.0 * static_cast<double>(i) /
+                                 static_cast<double>(n - 1));
+    }
+    for (double b : {0.625, -0.625}) {
+        xs.push_back(b);
+        xs.push_back(std::nextafter(b, 0.0));
+        xs.push_back(std::nextafter(b, 2.0 * b));
+    }
+    return xs;
+}
+
+/// Inputs where the activations must not go through their main formula
+/// unchanged: signed zeros, subnormals, infinities, NaNs (payload and
+/// sign bits set too), the huge and the saturated.
+std::vector<double> activation_specials() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double sub = std::numeric_limits<double>::denorm_min();
+    const double dmin = std::numeric_limits<double>::min();
+    const double dmax = std::numeric_limits<double>::max();
+    return {0.0,   -0.0,   sub,    -sub,   dmin / 3.0, -dmin / 3.0,
+            dmin,  -dmin,  kInf,   -kInf,  nan,        -nan,
+            std::bit_cast<double>(std::uint64_t{0x7FF8000000000FFF}),
+            19.1,  -19.1,  44.0,   -44.0,  700.0,      -700.0,
+            708.5, -708.5, 1e300,  -1e300, dmax,       -dmax};
+}
+
+std::uint64_t max_ulps(const std::vector<double>& xs,
+                       const std::vector<double>& got, double (*ref)(double)) {
+    std::uint64_t worst = 0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        worst = std::max(worst, ulp_distance(got[i], ref(xs[i])));
+    }
+    return worst;
+}
+
+double libm_sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
+
+TEST(SimdActivationTest, TanhWithinTwoUlpOfLibmOnDenseSweep) {
+    const std::vector<double> xs = activation_sweep();
+    const std::vector<double> got =
+        activate_on(Path::kScalar, MlpActivation::kTanh, xs);
+    EXPECT_LE(max_ulps(xs, got, [](double x) { return std::tanh(x); }), 2u);
+    bool below = false;
+    bool above = false;
+    for (double x : xs) {
+        below |= std::fabs(x) <= 0.625 && x != 0.0;
+        above |= std::fabs(x) > 0.625 && std::fabs(x) < 19.1;
+    }
+    EXPECT_TRUE(below && above) << "sweep must cover both branches";
+}
+
+TEST(SimdActivationTest, TanhSpecialValues) {
+    for (Path path : supported_paths()) {
+        const std::vector<double> xs = activation_specials();
+        const std::vector<double> got =
+            activate_on(path, MlpActivation::kTanh, xs);
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double x = xs[i];
+            const double y = got[i];
+            SCOPED_TRACE(std::string(to_string(path)) + " x=" + std::to_string(x));
+            if (std::isnan(x)) {
+                EXPECT_TRUE(std::isnan(y));
+            } else if (std::fabs(x) >= 19.1) {
+                EXPECT_EQ(y, std::copysign(1.0, x));  // ±inf included
+            } else if (std::fabs(x) < std::numeric_limits<double>::min()) {
+                // ±0 and subnormals: tanh(x) = x, sign included.
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(y),
+                          std::bit_cast<std::uint64_t>(x));
+            } else {
+                EXPECT_LE(ulp_distance(y, std::tanh(x)), 2u);
+            }
+        }
+    }
+    // Saturation starts by 19.1: every sweep point past it is exactly ±1.
+    const std::vector<double> xs = activation_sweep();
+    const std::vector<double> got =
+        activate_on(Path::kScalar, MlpActivation::kTanh, xs);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (std::fabs(xs[i]) >= 19.1) {
+            ASSERT_EQ(got[i], std::copysign(1.0, xs[i])) << xs[i];
+        }
+    }
+}
+
+TEST(SimdActivationTest, SigmoidWithinTwoUlpOfLibmOnDenseSweep) {
+    const std::vector<double> xs = activation_sweep();
+    const std::vector<double> got =
+        activate_on(Path::kScalar, MlpActivation::kSigmoid, xs);
+    EXPECT_LE(max_ulps(xs, got, libm_sigmoid), 2u);
+    // The exponential stays within 2 ULP out to where it saturates.
+    const std::vector<double> wide{-708.0, -700.0, -500.0, -100.0, -30.0,
+                                   30.0,   100.0,  500.0,  708.0};
+    EXPECT_LE(max_ulps(wide,
+                       activate_on(Path::kScalar, MlpActivation::kSigmoid, wide),
+                       libm_sigmoid),
+              2u);
+}
+
+TEST(SimdActivationTest, SigmoidSpecialValues) {
+    for (Path path : supported_paths()) {
+        const std::vector<double> xs = activation_specials();
+        const std::vector<double> got =
+            activate_on(path, MlpActivation::kSigmoid, xs);
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double x = xs[i];
+            const double y = got[i];
+            SCOPED_TRACE(std::string(to_string(path)) + " x=" + std::to_string(x));
+            if (std::isnan(x)) {
+                EXPECT_TRUE(std::isnan(y));
+            } else if (x > 708.0) {
+                EXPECT_EQ(y, 1.0);
+            } else if (x < -708.0) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(y), 0u);  // +0
+            } else if (std::fabs(x) < std::numeric_limits<double>::min()) {
+                EXPECT_EQ(y, 0.5);
+            } else {
+                EXPECT_LE(ulp_distance(y, libm_sigmoid(x)), 2u);
+            }
+        }
+    }
+}
+
+TEST(SimdActivationTest, ReluIsExactlyTheSelect) {
+    std::vector<double> xs = activation_sweep();
+    const std::vector<double> specials = activation_specials();
+    xs.insert(xs.end(), specials.begin(), specials.end());
+    for (Path path : supported_paths()) {
+        const std::vector<double> got = activate_on(path, MlpActivation::kRelu, xs);
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            // x > 0 ? x : +0 — so −0, −inf and NaN all give +0.
+            const double want = xs[i] > 0.0 ? xs[i] : 0.0;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                      std::bit_cast<std::uint64_t>(want))
+                << to_string(path) << " x=" << xs[i];
+        }
+    }
+}
+
+TEST(SimdActivationTest, EveryPathBitwiseEqualToScalar) {
+    std::vector<double> xs = activation_sweep();
+    const std::vector<double> specials = activation_specials();
+    xs.insert(xs.end(), specials.begin(), specials.end());
+    for (MlpActivation activation :
+         {MlpActivation::kTanh, MlpActivation::kRelu, MlpActivation::kSigmoid}) {
+        const std::vector<double> expected =
+            activate_on(Path::kScalar, activation, xs);
+        for (Path path : vector_paths()) {
+            const std::vector<double> got = activate_on(path, activation, xs);
+            for (std::size_t i = 0; i < xs.size(); ++i) {
+                if (std::isnan(expected[i])) {
+                    ASSERT_TRUE(std::isnan(got[i])) << to_string(path);
+                    continue;
+                }
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                          std::bit_cast<std::uint64_t>(expected[i]))
+                    << to_string(path) << " activation "
+                    << static_cast<int>(activation) << " x=" << xs[i];
+            }
+            // Every tail length of every lane width, in place.
+            for (std::size_t n = 1; n <= 17; ++n) {
+                std::vector<double> buf(specials.begin(), specials.begin() + n);
+                kernels_for(path).mlp_activate(activation, buf.data(),
+                                               buf.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    const std::size_t at = xs.size() - specials.size() + i;
+                    EXPECT_TRUE(std::isnan(expected[at])
+                                    ? std::isnan(buf[i])
+                                    : std::bit_cast<std::uint64_t>(buf[i]) ==
+                                          std::bit_cast<std::uint64_t>(expected[at]))
+                        << to_string(path) << " n=" << n << " i=" << i;
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Lane-batched MLP training
 
 /// `count` equally long datasets of lag-like features in [0, 1] (one per
