@@ -17,6 +17,7 @@
 #include "core/spatial_model.hpp"
 #include "linalg/ols.hpp"
 #include "timeseries/resource.hpp"
+#include "timeseries/stats.hpp"
 #include "tracegen/generator.hpp"
 
 namespace {
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
                 box.vms.size(), n);
 
     // --- pairwise correlations (compact heat rows) -------------------------
-    const auto rho = cluster::correlation_matrix(series);
+    const la::FlatMatrix rho = ts::correlation_matrix(series);
     std::printf("pairwise correlation (x = |rho| >= 0.7, + >= 0.4, . else):\n");
     for (std::size_t i = 0; i < n; ++i) {
         std::printf("  %-10s ", series_name(i));

@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "linalg/flat_matrix.hpp"
+
 namespace atm::cluster {
 
 /// One correlation-based cluster: `head` is the rank-selected signature
@@ -37,13 +39,10 @@ std::vector<CbcCluster> cbc_cluster(
     const CbcOptions& options = {});
 
 /// Same algorithm over a precomputed correlation matrix (symmetric, unit
-/// diagonal). Useful when correlations are reused across analyses.
+/// diagonal; ts::correlation_matrix builds it). Useful when correlations
+/// are reused across analyses. Throws std::invalid_argument when `rho`
+/// is not square.
 std::vector<CbcCluster> cbc_cluster_from_correlation(
-    const std::vector<std::vector<double>>& rho,
-    const CbcOptions& options = {});
-
-/// Pairwise Pearson correlation matrix over a set of equal-length series.
-std::vector<std::vector<double>> correlation_matrix(
-    const std::vector<std::vector<double>>& series);
+    const la::FlatMatrix& rho, const CbcOptions& options = {});
 
 }  // namespace atm::cluster

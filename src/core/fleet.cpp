@@ -151,9 +151,9 @@ FleetResult run_fleet(const trace::Trace& trace, const FleetConfig& config,
         jobs > 1 ? &exec::shared_pool(jobs - 1) : nullptr;
 
     // One reusable workspace per worker: a bump arena backing the DTW and
-    // MLP scratch plus the per-box DTW memo. Workers evaluate box after
-    // box on the same workspace, so steady-state inner kernels allocate
-    // nothing; scratch contents never affect results.
+    // MLP scratch. Workers evaluate box after box on the same workspace,
+    // so steady-state inner kernels allocate nothing; scratch contents
+    // never affect results.
     std::vector<std::unique_ptr<PipelineWorkspace>> workspaces;
     workspaces.reserve(jobs);
     for (unsigned w = 0; w < jobs; ++w) {
@@ -382,13 +382,10 @@ FleetResult run_pipeline_on_fleet(const trace::Trace& trace,
             box_config.seed = static_cast<unsigned>(seed);
             box_config.cancel = cancel;
             // Per-worker scratch: DTW/MLP workspaces draw from the
-            // worker's arena, and the DTW matrix memo is reused across
-            // boxes (cleared first — it is per-box). The pool is the
-            // fleet's only when boxes are scarcer than workers.
-            workspace->dtw_cache.clear();
+            // worker's arena. The pool is the fleet's only when boxes are
+            // scarcer than workers.
             box_config.workspace = workspace;
             box_config.search.pool = pool;
-            box_config.search.dtw_cache = &workspace->dtw_cache;
             // One registry per box: pool workers touching this box's DTW
             // rows write counters here, never into another box's registry.
             std::optional<obs::MetricsRegistry> registry;

@@ -232,8 +232,8 @@ struct FleetResult {
 /// Runs the full ATM pipeline over every selected box of the trace, one
 /// pool task per box. Throws std::invalid_argument when
 /// `config.validate()` reports problems. Deterministic: per-box seeds are
-/// splitmix64-derived from (config.pipeline.seed, box index), per-box DTW
-/// matrices are memoized, and results land in trace order — `jobs = 1`
+/// splitmix64-derived from (config.pipeline.seed, box index) and results
+/// land in trace order — `jobs = 1`
 /// and `jobs = N` produce bit-identical results. With
 /// `checkpoint_path`/`resume` set the run is additionally crash-safe:
 /// finished boxes are journaled as they complete and a resumed run

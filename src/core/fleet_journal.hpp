@@ -11,16 +11,19 @@ namespace atm::core {
 /// the record encoding changes incompatibly, or when a build's results
 /// change under an otherwise identical header (v2: vector-path MLP
 /// numerics became the scalar path's; v3: MLP activations moved from
-/// libm to the project's own): a resume against an older journal then
-/// starts fresh instead of mis-decoding or mixing results.
-inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v3";
+/// libm to the project's own; v4: per-box metric snapshots lost the DTW
+/// memo's counter): a resume against an older journal then starts fresh
+/// instead of mis-decoding or mixing results.
+inline constexpr const char* kFleetJournalSchema = "atm.fleet-journal.v4";
 
 /// Schema tag of the serve daemon's epoch journal. Same framing as the
 /// fleet journal (exec::JournalWriter), but each record is one applied
 /// streaming window rather than one finished box. Versioned like the
-/// fleet journal (v2 and v3 for the same reasons), so an older daemon's
-/// journal restarts fresh instead of tripping the replay-divergence check.
-inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v3";
+/// fleet journal (v2 and v3 for the same reasons; v4: the drift gate's
+/// correlation arithmetic became ts::correlation_matrix's), so an older
+/// daemon's journal restarts fresh instead of tripping the
+/// replay-divergence check.
+inline constexpr const char* kServeJournalSchema = "atm.serve-journal.v4";
 
 /// Digest of everything about the *input data* that affects per-box
 /// results: windows_per_day, per-box names/gap flags/VM counts and the

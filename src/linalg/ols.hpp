@@ -3,7 +3,7 @@
 #include <span>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/solve.hpp"
 
 namespace atm::obs {
 class MetricsRegistry;
@@ -73,14 +73,5 @@ std::vector<double> variance_inflation_factors(
 std::vector<std::size_t> reduce_multicollinearity(
     const std::vector<std::vector<double>>& predictors,
     double vif_threshold = 4.0, obs::MetricsRegistry* metrics = nullptr);
-
-/// Classical forward-selection stepwise regression: greedily adds the
-/// predictor that most improves adjusted R² until no candidate improves it
-/// by at least `min_gain`. Returns selected indices in selection order.
-/// Provided for ablation against the VIF-driven backward elimination.
-std::vector<std::size_t> forward_stepwise(
-    std::span<const double> y,
-    const std::vector<std::vector<double>>& candidates,
-    double min_gain = 1e-4);
 
 }  // namespace atm::la

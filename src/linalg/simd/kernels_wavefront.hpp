@@ -41,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <random>
 #include <vector>
 
 #include "linalg/simd/simd.hpp"
@@ -56,8 +55,8 @@ inline constexpr double kWavefrontInf = std::numeric_limits<double>::infinity();
 /// are always non-empty and both endpoints are nondecreasing in i.
 inline void compute_band_windows(std::size_t n, std::size_t m, int band,
                                  ScratchIdxVec& jlo, ScratchIdxVec& jhi) {
-    if (jlo.size() < n + 1) jlo.resize(n + 1);
-    if (jhi.size() < n + 1) jhi.resize(n + 1);
+    grow(jlo, n + 1);
+    grow(jhi, n + 1);
     const double slope =
         n > 1 ? static_cast<double>(m) / static_cast<double>(n) : 1.0;
     for (std::size_t i = 1; i <= n; ++i) {
@@ -80,16 +79,15 @@ template <typename V>
 double dtw_distance_wavefront(const double* p, std::size_t n, const double* q,
                               std::size_t m, int band, DtwScratch& scratch) {
     const auto reset = [](ScratchVec& a, std::size_t size) {
-        if (a.size() < size) a.resize(size);
-        std::fill(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(size),
-                  kWavefrontInf);
+        double* d = grow(a, size);
+        std::fill(d, d + size, kWavefrontInf);
     };
     reset(scratch.prev, n + 1);
     reset(scratch.curr, n + 1);
     reset(scratch.next, n + 1);
     scratch.prev[0] = 0.0;  // λ(0, 0) on diagonal 0
-    if (scratch.qrev.size() < m) scratch.qrev.resize(m);
-    for (std::size_t k = 0; k < m; ++k) scratch.qrev[k] = q[m - 1 - k];
+    double* qrev = grow(scratch.qrev, m);
+    for (std::size_t k = 0; k < m; ++k) qrev[k] = q[m - 1 - k];
     compute_band_windows(n, m, band, scratch.jlo, scratch.jhi);
 
     double* d2 = scratch.prev.data();  // diagonal d − 2
@@ -180,16 +178,13 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
     bool shared_p = true;
     for (std::size_t b = 1; b < count; ++b) shared_p &= ps[b] == ps[0];
     if (!shared_p) {
-        if (scratch.lanes_p.size() < n * kW) scratch.lanes_p.resize(n * kW);
+        double* staged = grow(scratch.lanes_p, n * kW);
         for (std::size_t lane = 0; lane < kW; ++lane) {
             const double* p = ps[lane < count ? lane : count - 1];
-            for (std::size_t i = 0; i < n; ++i) {
-                scratch.lanes_p[i * kW + lane] = p[i];
-            }
+            for (std::size_t i = 0; i < n; ++i) staged[i * kW + lane] = p[i];
         }
     }
-    if (scratch.lanes_q.size() < m * kW) scratch.lanes_q.resize(m * kW);
-    double* ql = scratch.lanes_q.data();
+    double* ql = grow(scratch.lanes_q, m * kW);
     for (std::size_t lane = 0; lane < kW; ++lane) {
         const double* q = qs[lane < count ? lane : count - 1];
         for (std::size_t j = 0; j < m; ++j) ql[j * kW + lane] = q[j];
@@ -198,9 +193,8 @@ void dtw_distance_batch_vec(const double* const* ps, const double* const* qs,
 
     const std::size_t row = (m + 1) * kW;
     const auto reset = [row](ScratchVec& a) {
-        if (a.size() < row) a.resize(row);
-        std::fill(a.begin(), a.begin() + static_cast<std::ptrdiff_t>(row),
-                  kWavefrontInf);
+        double* d = grow(a, row);
+        std::fill(d, d + row, kWavefrontInf);
     };
     reset(scratch.prev);
     reset(scratch.curr);
@@ -389,8 +383,7 @@ struct MlpOffsets {
 
 inline MlpOffsets mlp_offsets(const MlpShape& shape, ScratchIdxVec& buf) {
     const std::size_t n = shape.num_layers;
-    if (buf.size() < 3 * n) buf.resize(3 * n);
-    std::size_t* act = buf.data();
+    std::size_t* act = grow(buf, 3 * n);
     std::size_t* unit = act + n;
     std::size_t* param = unit + n;
     std::size_t a = 0;
@@ -558,22 +551,17 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
     const std::size_t out_act = off.acts_total - 1;
 
     const auto zeroed = [](ScratchVec& buf, std::size_t size) {
-        if (buf.size() < size) buf.resize(size);
-        std::fill(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(size),
-                  0.0);
-        return buf.data();
+        double* d = grow(buf, size);
+        std::fill(d, d + size, 0.0);
+        return d;
     };
     double* params = zeroed(scratch.params, off.params_total * kW);
     double* velocity = zeroed(scratch.velocity, off.params_total * kW);
     double* acts = zeroed(scratch.acts, off.acts_total * kW);
     double* deltas = zeroed(scratch.deltas, off.units_total * kW);
-    if (scratch.order.size() < train_rows * kW) {
-        scratch.order.resize(train_rows * kW);
-    }
-    std::size_t* orders = scratch.order.data();
+    std::size_t* orders = grow(scratch.order, train_rows * kW);
 
     std::array<std::size_t, kW> job_of{};
-    std::array<std::mt19937, kW> rngs;
     alignas(64) std::array<double, kW> lr{};
     alignas(64) std::array<double, kW> momentum{};
     alignas(64) std::array<double, kW> weight_decay{};
@@ -623,7 +611,7 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
             weight_decay[b] = job.weight_decay;
             best[b] = std::numeric_limits<double>::infinity();
             since_best[b] = 0;
-            rngs[b].seed(job.seed);
+            mlp_seed_lane(scratch, b, job.seed);
             std::size_t* order = orders + b * train_rows;
             for (std::size_t k = 0; k < train_rows; ++k) order[k] = k;
             return;
@@ -656,7 +644,7 @@ void mlp_train_batch_vec(const MlpBatch& batch, MlpBatchJob* jobs,
             if (batch.on_epoch != nullptr) batch.on_epoch(batch.context, job_of[b]);
             ++jobs[job_of[b]].epochs_run;
             std::size_t* order = orders + b * train_rows;
-            std::shuffle(order, order + train_rows, rngs[b]);
+            mlp_shuffle_lane(scratch, b, order, train_rows);
         }
 
         const auto lrv = V::loadu(lr.data());

@@ -1,11 +1,32 @@
 #include "linalg/simd/simd.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace atm::simd {
+
+double* grow(ScratchVec& buf, std::size_t size) {
+    if (buf.size() < size) buf.resize(size);
+    return buf.data();
+}
+
+std::size_t* grow(ScratchIdxVec& buf, std::size_t size) {
+    if (buf.size() < size) buf.resize(size);
+    return buf.data();
+}
+
+void mlp_seed_lane(MlpScratch& scratch, std::size_t lane, unsigned seed) {
+    if (scratch.rngs.size() <= lane) scratch.rngs.resize(lane + 1);
+    scratch.rngs[lane].seed(seed);
+}
+
+void mlp_shuffle_lane(MlpScratch& scratch, std::size_t lane,
+                      std::size_t* order, std::size_t n) {
+    std::shuffle(order, order + n, scratch.rngs[lane]);
+}
 
 // Registered by the per-ISA translation units actually compiled into
 // this binary (see src/linalg/CMakeLists.txt for the gating).

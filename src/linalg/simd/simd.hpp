@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -61,6 +62,14 @@ enum class Path : int {
 /// draw slab memory instead (per-worker workspaces, DESIGN.md §7.14).
 using ScratchVec = exec::ArenaVector<double>;
 using ScratchIdxVec = exec::ArenaVector<std::size_t>;
+
+/// Grows `buf` to at least `size` elements (never shrinks) and returns
+/// its data. Defined out of line in the portable simd.cpp, like the MLP
+/// lane-shuffle helpers below, so the vector kernel objects carry no
+/// weak copy of a library template that the linker could pick for every
+/// path.
+double* grow(ScratchVec& buf, std::size_t size);
+std::size_t* grow(ScratchIdxVec& buf, std::size_t size);
 
 struct DtwScratch {
     DtwScratch() = default;
@@ -179,7 +188,14 @@ struct MlpScratch {
     ScratchVec deltas;  ///< backprop deltas, layers 1..L
     ScratchIdxVec order;
     ScratchIdxVec offsets;  ///< per-layer acts/unit/param offsets
+    std::vector<std::mt19937> rngs;  ///< per-lane shuffle streams
 };
+
+/// Reseeds lane `lane`'s shuffle stream (mt19937(seed)) as a job enters it.
+void mlp_seed_lane(MlpScratch& scratch, std::size_t lane, unsigned seed);
+/// std::shuffle of order[0..n) with lane `lane`'s stream.
+void mlp_shuffle_lane(MlpScratch& scratch, std::size_t lane,
+                      std::size_t* order, std::size_t n);
 
 /// Output of one network of `shape` on `inputs` (layer_sizes[0] values).
 /// The same forward pass, per lane, as the training kernels on every

@@ -12,6 +12,7 @@
 #include "linalg/simd/simd.hpp"
 #include "obs/json.hpp"
 #include "timeseries/resource.hpp"
+#include "timeseries/stats.hpp"
 
 namespace atm::serve {
 
@@ -27,6 +28,9 @@ struct ServeEngine::BoxState {
     bool has_model = false;
     core::BoxModel model;
     double corr_at_search = 0.0;
+
+    /// One-step forecast APEs of this box; metrics_ carries their merge.
+    obs::HistogramSnapshot ape;
 
     std::vector<double> last_forecast;  ///< per flat series, next window
     bool has_forecast = false;
@@ -54,6 +58,18 @@ constexpr int kShedRefresh = 1;     ///< search or retrain skipped
 constexpr int kShedForecast = 2;    ///< last forecast reused
 constexpr int kShedResize = 4;      ///< max-min fallback resize
 constexpr int kShedIngestOnly = 8;  ///< no model output this window
+
+/// The drift statistic: mean |ρ| over the box's distinct series pairs.
+double mean_abs_rho(const std::vector<std::vector<double>>& history) {
+    const la::FlatMatrix rho = ts::correlation_matrix(history);
+    const std::size_t n = rho.rows();
+    if (n < 2) return 0.0;
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) total += std::abs(rho(i, j));
+    }
+    return total / static_cast<double>(n * (n - 1) / 2);
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -419,6 +435,7 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
     BoxState& box = *boxes_[bi];
     const double alpha = config_.pipeline.alpha;
     std::uint64_t bad = 0;
+    bool ape_recorded = false;
     for (std::size_t vm = 0; vm < meta.vms.size(); ++vm) {
         for (int kind = 0; kind < 2; ++kind) {
             const bool is_cpu = kind == 0;
@@ -437,12 +454,12 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
                     std::abs(actual - box.last_forecast[flat]) /
                     std::abs(actual);
                 if (std::isfinite(ape)) {
-                    obs::HistogramSnapshot& hist = metrics_.histograms["serve.ape"];
-                    if (hist.bounds.empty() && hist.count == 0) {
+                    if (box.ape.bounds.empty()) {
                         const auto bounds = obs::default_histogram_bounds();
-                        hist.bounds.assign(bounds.begin(), bounds.end());
+                        box.ape.bounds.assign(bounds.begin(), bounds.end());
                     }
-                    hist.record(ape);
+                    box.ape.record(ape);
+                    ape_recorded = true;
                 }
             }
             const double static_cap = meta.vms[vm].capacity(
@@ -466,6 +483,14 @@ void ServeEngine::ingest_samples(int box_index, const WindowUpdate& update) {
         }
     }
     if (bad != 0) counter("serve.sanitize.bad_samples", bad);
+    if (ape_recorded) {
+        // serve.ape merges the per-box histograms in box order, so its
+        // floating-point sum does not depend on how connections interleave
+        // their boxes' windows.
+        obs::HistogramSnapshot merged;
+        for (const auto& state : boxes_) merged.merge(state->ape);
+        metrics_.histograms["serve.ape"] = std::move(merged);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,7 +506,7 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
     bool want_search = !box.has_model;
     if (box.has_model) {
         const double drift =
-            std::abs(mean_abs_correlation(box) - box.corr_at_search);
+            std::abs(mean_abs_rho(box.history) - box.corr_at_search);
         metrics_.gauges["serve.drift"] = drift;
         if (drift > config_.drift_threshold) want_search = true;
     }
@@ -560,41 +585,6 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
     }
 }
 
-double ServeEngine::mean_abs_correlation(const BoxState& box) const {
-    const std::size_t n = box.history.size();
-    if (n < 2) return 0.0;
-    const std::size_t len = box.history[0].size();
-    if (len < 2) return 0.0;
-    std::vector<double> mean(n, 0.0);
-    std::vector<double> norm(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-        double sum = 0.0;
-        for (const double x : box.history[i]) sum += x;
-        mean[i] = sum / static_cast<double>(len);
-        double sq = 0.0;
-        for (const double x : box.history[i]) {
-            const double c = x - mean[i];
-            sq += c * c;
-        }
-        norm[i] = std::sqrt(sq);
-    }
-    double total = 0.0;
-    std::size_t pairs = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j) {
-            ++pairs;
-            if (norm[i] < 1e-12 || norm[j] < 1e-12) continue;
-            double dot = 0.0;
-            for (std::size_t t = 0; t < len; ++t) {
-                dot += (box.history[i][t] - mean[i]) *
-                       (box.history[j][t] - mean[j]);
-            }
-            total += std::abs(dot / (norm[i] * norm[j]));
-        }
-    }
-    return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
-}
-
 core::PipelineConfig ServeEngine::model_config(
     obs::MetricsRegistry* metrics, const exec::CancellationToken* slo) {
     core::PipelineConfig config = config_.pipeline;
@@ -602,7 +592,6 @@ core::PipelineConfig ServeEngine::model_config(
     config.cancel = slo;
     config.workspace = &workspace_;
     config.search.pool = nullptr;
-    config.search.dtw_cache = nullptr;  // history changes every window
     return config;
 }
 
@@ -638,7 +627,7 @@ bool ServeEngine::run_search(int box_index,
         scratch.add("serve.retrain.cold", model.signatures().size());
         box.model = std::move(model);
         box.has_model = true;
-        box.corr_at_search = mean_abs_correlation(box);
+        box.corr_at_search = mean_abs_rho(box.history);
         metrics_.merge(scratch.snapshot());
         return true;
     } catch (const exec::OperationCancelled&) {

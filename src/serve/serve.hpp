@@ -157,10 +157,9 @@ class ServeEngine {
     void ingest_samples(int box_index, const WindowUpdate& update);
     void model_work(int box_index, std::uint64_t epoch, Decisions& d,
                     const exec::CancellationToken* slo);
-    [[nodiscard]] double mean_abs_correlation(const BoxState& box) const;
     /// The pipeline config of one model call: serve's knobs with this
     /// call's metrics sink and SLO token, the engine's scratch, and no
-    /// DTW pool or memo.
+    /// DTW pool.
     core::PipelineConfig model_config(obs::MetricsRegistry* metrics,
                                       const exec::CancellationToken* slo);
     /// Serve's epochs and per-series seeds derive_seed(derive_seed(seed,

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace atm::ts {
 
@@ -22,22 +23,58 @@ double variance(std::span<const double> xs) {
 
 double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
 
-double covariance(std::span<const double> xs, std::span<const double> ys) {
-    assert(xs.size() == ys.size());
-    if (xs.empty()) return 0.0;
-    const double mx = mean(xs);
-    const double my = mean(ys);
-    double acc = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) acc += (xs[i] - mx) * (ys[i] - my);
-    return acc / static_cast<double>(xs.size());
+la::FlatMatrix correlation_matrix(
+    std::span<const std::span<const double>> series) {
+    const std::size_t k = series.size();
+    const std::size_t n = k == 0 ? 0 : series[0].size();
+    la::FlatMatrix centred(k, n);
+    std::vector<double> scale(k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+        const std::span<const double> xs = series[i];
+        if (xs.size() != n) {
+            throw std::invalid_argument("correlation_matrix: unequal series lengths");
+        }
+        const double m = mean(xs);
+        double* c = centred[i].data();
+        double sq = 0.0;
+        for (std::size_t t = 0; t < n; ++t) {
+            c[t] = xs[t] - m;
+            sq += c[t] * c[t];
+        }
+        // An exactly constant series can centre to a nonzero residue when
+        // its mean rounds; test the samples, not the spread.
+        const bool constant = std::all_of(
+            xs.begin(), xs.end(), [&](double x) { return x == xs[0]; });
+        if (!constant) scale[i] = std::sqrt(sq / static_cast<double>(n));
+    }
+    la::FlatMatrix rho(k, k, 1.0);
+    for (std::size_t i = 0; i < k; ++i) {
+        const double* ci = centred[i].data();
+        for (std::size_t j = i + 1; j < k; ++j) {
+            double r = 0.0;
+            if (!(scale[i] <= 0.0 || scale[j] <= 0.0)) {
+                const double* cj = centred[j].data();
+                double acc = 0.0;
+                for (std::size_t t = 0; t < n; ++t) acc += ci[t] * cj[t];
+                r = acc / static_cast<double>(n) / (scale[i] * scale[j]);
+            }
+            rho(i, j) = r;
+            rho(j, i) = r;
+        }
+    }
+    return rho;
+}
+
+la::FlatMatrix correlation_matrix(
+    const std::vector<std::vector<double>>& series) {
+    const std::vector<std::span<const double>> views(series.begin(),
+                                                     series.end());
+    return correlation_matrix(views);
 }
 
 double pearson(std::span<const double> xs, std::span<const double> ys) {
-    assert(xs.size() == ys.size());
-    const double sx = stddev(xs);
-    const double sy = stddev(ys);
-    if (sx <= 0.0 || sy <= 0.0) return 0.0;
-    return covariance(xs, ys) / (sx * sy);
+    const std::span<const double> pair[] = {xs, ys};
+    return correlation_matrix(pair)(0, 1);
 }
 
 double min_value(std::span<const double> xs) {

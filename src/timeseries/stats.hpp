@@ -3,6 +3,8 @@
 #include <span>
 #include <vector>
 
+#include "linalg/flat_matrix.hpp"
+
 namespace atm::ts {
 
 /// Arithmetic mean; 0 for an empty span.
@@ -14,15 +16,21 @@ double variance(std::span<const double> xs);
 /// Population standard deviation.
 double stddev(std::span<const double> xs);
 
-/// Sample covariance with population normalization (divides by n).
-/// Both spans must have equal length; returns 0 if either is empty.
-double covariance(std::span<const double> xs, std::span<const double> ys);
+/// Pairwise Pearson correlation matrix of equal-length series: the
+/// spatial-dependency measure of the paper (Section II's intra/inter
+/// correlations, CBC's ρ in Section III-A) and the serve daemon's drift
+/// statistic. Each series is centred once (x̄ = sequential sum ÷ n,
+/// s = √(Σ(x−x̄)²/n)) and each pair once: ρ = (Σ(x−x̄)(y−ȳ)/n) / (s_x·s_y).
+/// A series whose samples are all equal has no defined correlation and
+/// gets ρ = 0 with every other series. The diagonal is 1. Throws
+/// std::invalid_argument on unequal lengths.
+la::FlatMatrix correlation_matrix(
+    std::span<const std::span<const double>> series);
+la::FlatMatrix correlation_matrix(
+    const std::vector<std::vector<double>>& series);
 
-/// Pearson's correlation coefficient between two equal-length spans.
-///
-/// This is the spatial-dependency measure used throughout Section II of the
-/// paper (intra-CPU, intra-RAM, inter-all and inter-pair correlations).
-/// Returns 0 when either span is constant (undefined correlation).
+/// Pearson's correlation coefficient between two equal-length spans: the
+/// two-series case of correlation_matrix (0 when either is constant).
 double pearson(std::span<const double> xs, std::span<const double> ys);
 
 /// Smallest / largest element; 0 for an empty span.

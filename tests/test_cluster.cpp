@@ -8,6 +8,7 @@
 #include "cluster/cbc.hpp"
 #include "cluster/dtw.hpp"
 #include "cluster/hierarchical.hpp"
+#include "timeseries/stats.hpp"
 
 namespace atm::cluster {
 namespace {
@@ -217,7 +218,7 @@ TEST(MedoidTest, OnePerCluster) {
 TEST(CorrelationMatrixTest, UnitDiagonalSymmetric) {
     const std::vector<std::vector<double>> series{
         {1, 2, 3, 4}, {2, 4, 6, 8}, {4, 3, 2, 1}};
-    const auto rho = correlation_matrix(series);
+    const la::FlatMatrix rho = ts::correlation_matrix(series);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_DOUBLE_EQ(rho[i][i], 1.0);
         for (std::size_t j = 0; j < 3; ++j) EXPECT_DOUBLE_EQ(rho[i][j], rho[j][i]);
@@ -341,7 +342,7 @@ TEST_P(CbcPropertyTest, HeadsPairwiseBelowThreshold) {
     CbcOptions options;
     options.rho_threshold = GetParam();
     const auto clusters = cbc_cluster(series, options);
-    const auto rho = correlation_matrix(series);
+    const la::FlatMatrix rho = ts::correlation_matrix(series);
     for (std::size_t a = 0; a < clusters.size(); ++a) {
         for (std::size_t b = a + 1; b < clusters.size(); ++b) {
             EXPECT_LT(rho[static_cast<std::size_t>(clusters[a].head)]

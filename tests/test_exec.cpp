@@ -191,29 +191,6 @@ TEST(DtwParallelTest, PooledMatrixMatchesSerial) {
     }
 }
 
-TEST(DtwParallelTest, CacheComputesEachBandOnce) {
-    const auto series = small_series_set();
-    cluster::DtwMatrixCache cache;
-    const auto* first = &cache.matrix(series, -1);
-    const auto* again = &cache.matrix(series, -1);
-    EXPECT_EQ(first, again);  // memoized, not recomputed
-    EXPECT_EQ(cache.size(), 1u);
-    cache.matrix(series, 8);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(*first, cluster::dtw_distance_matrix(series));
-}
-
-TEST(DtwParallelTest, CacheRejectsDifferentSeriesSet) {
-    const auto series = small_series_set();
-    cluster::DtwMatrixCache cache;
-    cache.matrix(series, -1);
-    auto other = series;
-    other.pop_back();
-    EXPECT_THROW(cache.matrix(other, -1), std::invalid_argument);
-    cache.clear();
-    EXPECT_NO_THROW(cache.matrix(other, -1));
-}
-
 // ------------------------------------------------------------- FleetConfig
 
 TEST(FleetConfigTest, DefaultConfigValidates) {

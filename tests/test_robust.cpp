@@ -657,9 +657,10 @@ TEST(CheckpointResumeTest, HeaderMismatchStartsFreshInsteadOfReplayingLies) {
 TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
     // A checkpoint written by an older build — same trace, config, seed
     // and SIMD path, but older MLP numerics (v1: vector-path arithmetic,
-    // v2: libm activations) — must not be replayed into a v3 run's
-    // results: the version alone sends it down the header-mismatch path.
-    // Control: the v3 journal itself resumes.
+    // v2: libm activations) or older per-box metrics (v3: the DTW memo's
+    // counter) — must not be replayed into a v4 run's results: the
+    // version alone sends it down the header-mismatch path. Control: the
+    // v4 journal itself resumes.
     const trace::Trace t = chaos_trace(4);
     const std::string path = journal_path("atm_resume_v1.jsonl");
     core::FleetConfig first = chaos_config("", 1);
@@ -668,7 +669,7 @@ TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
     const exec::JournalLoad load = exec::load_journal(path);
     ASSERT_EQ(load.records.size(), 4u);
     const std::string current = core::kFleetJournalSchema;
-    ASSERT_EQ(current, "atm.fleet-journal.v3");
+    ASSERT_EQ(current, "atm.fleet-journal.v4");
     const std::size_t at = load.header.find(current);
     ASSERT_NE(at, std::string::npos);
 
@@ -676,7 +677,8 @@ TEST(CheckpointResumeTest, V1JournalHeaderStartsFresh) {
     resume.checkpoint_path = path;
     resume.resume = true;
     EXPECT_EQ(core::run_pipeline_on_fleet(t, resume).boxes_replayed, 4u);
-    for (const char* older : {"atm.fleet-journal.v1", "atm.fleet-journal.v2"}) {
+    for (const char* older : {"atm.fleet-journal.v1", "atm.fleet-journal.v2",
+                              "atm.fleet-journal.v3"}) {
         SCOPED_TRACE(older);
         std::string old_header = load.header;
         old_header.replace(at, current.size(), older);

@@ -390,9 +390,9 @@ TEST(ServeRestartTest, HeaderMismatchStartsFresh) {
 TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
     // A journal written by an older build (same trace, config, seed and
     // SIMD path; v1: older vector-path MLP numerics, v2: libm
-    // activations) must take the header-mismatch path and start fresh,
-    // never replay into the divergence check. Control: the untouched v3
-    // journal does resume.
+    // activations, v3: the older drift-gate correlation arithmetic) must
+    // take the header-mismatch path and start fresh, never replay into
+    // the divergence check. Control: the untouched v4 journal does resume.
     const trace::Trace trace = tiny_trace();
     const std::string journal_path = temp_path("serve_v1.journal");
     std::remove(journal_path.c_str());
@@ -407,7 +407,7 @@ TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
     const exec::JournalLoad load = exec::load_journal(journal_path);
     ASSERT_EQ(load.records.size(), 30u);
     const std::string current = core::kServeJournalSchema;
-    ASSERT_EQ(current, "atm.serve-journal.v3");
+    ASSERT_EQ(current, "atm.serve-journal.v4");
     const std::size_t at = load.header.find(current);
     ASSERT_NE(at, std::string::npos);
 
@@ -417,7 +417,8 @@ TEST(ServeRestartTest, V1JournalHeaderStartsFresh) {
         EXPECT_TRUE(engine.resumed());
         EXPECT_EQ(engine.replay_remaining(), 30u);
     }
-    for (const char* older : {"atm.serve-journal.v1", "atm.serve-journal.v2"}) {
+    for (const char* older : {"atm.serve-journal.v1", "atm.serve-journal.v2",
+                              "atm.serve-journal.v3"}) {
         SCOPED_TRACE(older);
         std::string old_header = load.header;
         old_header.replace(at, current.size(), older);
@@ -550,6 +551,32 @@ TEST(ServeEngineTest, DriftThresholdGatesResearch) {
     feed_all(eager_engine, trace);
     EXPECT_GT(eager_engine.metrics().counters.at("serve.search.runs"),
               lazy_runs);
+}
+
+TEST(ServeEngineTest, ApeHistogramIndependentOfBoxInterleaving) {
+    // Two connections may interleave their boxes' windows in any order;
+    // serve.ape must not depend on it, down to the last bit of its sum.
+    const trace::Trace trace = tiny_trace(11, 4);
+    ServeEngine epoch_major(trace, fast_config());
+    feed_all(epoch_major, trace);
+    ServeEngine box_major(trace, fast_config());
+    const auto windows = static_cast<std::uint64_t>(trace.num_days *
+                                                    trace.windows_per_day);
+    for (int box = box_major.num_boxes(); box-- > 0;) {
+        for (std::uint64_t epoch = 0; epoch < windows; ++epoch) {
+            box_major.apply(update_at(trace, box, epoch));
+        }
+    }
+    const obs::HistogramSnapshot& a =
+        epoch_major.metrics().histograms.at("serve.ape");
+    const obs::HistogramSnapshot& b =
+        box_major.metrics().histograms.at("serve.ape");
+    EXPECT_GT(a.count, 0u);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.count, b.count);
+    EXPECT_EQ(a.sum, b.sum);
+    EXPECT_EQ(a.min, b.min);
+    EXPECT_EQ(a.max, b.max);
 }
 
 // -------------------------------------------------------------- retries

@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <numeric>
+#include <random>
+#include <span>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "timeseries/cdf.hpp"
 #include "timeseries/features.hpp"
 #include "timeseries/resource.hpp"
@@ -84,6 +92,76 @@ TEST(StatsTest, PearsonShiftAndScaleInvariant) {
     std::vector<double> ys(xs.size());
     for (std::size_t i = 0; i < xs.size(); ++i) ys[i] = 3.0 * xs[i] + 7.0;
     EXPECT_NEAR(pearson(xs, ys), 1.0, 1e-12);
+}
+
+// Test-local Pearson oracle: two-pass centred sums in the routine's
+// documented order, with constant series detected only by a zero spread.
+double reference_pearson(std::span<const double> xs, std::span<const double> ys) {
+    const auto n = static_cast<double>(xs.size());
+    const double mx = std::accumulate(xs.begin(), xs.end(), 0.0) / n;
+    const double my = std::accumulate(ys.begin(), ys.end(), 0.0) / n;
+    double vx = 0.0;
+    double vy = 0.0;
+    double cov = 0.0;
+    for (double x : xs) vx += (x - mx) * (x - mx);
+    for (double y : ys) vy += (y - my) * (y - my);
+    for (std::size_t i = 0; i < xs.size(); ++i) cov += (xs[i] - mx) * (ys[i] - my);
+    const double sx = std::sqrt(vx / n);
+    const double sy = std::sqrt(vy / n);
+    if (sx <= 0.0 || sy <= 0.0) return 0.0;
+    return cov / n / (sx * sy);
+}
+
+TEST(CorrelationMatrixTest, ExactlyConstantSeriesCorrelateZero) {
+    // Means of these 480-sample constants round off, so centring leaves
+    // nonzero residues and the spread test alone reads them as perfectly
+    // (anti-)correlated.
+    for (const auto& [a, b] : {std::pair{0.1, 0.37}, std::pair{37.3, 63.61}}) {
+        SCOPED_TRACE(a);
+        const std::vector<double> xs(480, a);
+        const std::vector<double> ys(480, b);
+        EXPECT_NEAR(std::abs(reference_pearson(xs, ys)), 1.0, 1e-9);
+        EXPECT_EQ(pearson(xs, ys), 0.0);
+        const la::FlatMatrix rho = correlation_matrix({xs, ys});
+        EXPECT_EQ(rho(0, 1), 0.0);
+        EXPECT_EQ(rho(1, 0), 0.0);
+        EXPECT_EQ(rho(0, 0), 1.0);
+        EXPECT_EQ(rho(1, 1), 1.0);
+    }
+}
+
+TEST(CorrelationMatrixTest, NonConstantEntriesMatchReferenceBitwise) {
+    std::mt19937 rng(2016);
+    std::normal_distribution<double> noise(0.0, 1.0);
+    std::uniform_real_distribution<double> level(0.0, 100.0);
+    for (int trial = 0; trial < 20; ++trial) {
+        SCOPED_TRACE(trial);
+        std::vector<std::vector<double>> series(7, std::vector<double>(480));
+        std::vector<bool> constant(series.size());
+        for (std::size_t s = 0; s < series.size(); ++s) {
+            constant[s] = (trial + s) % 3 == 0;
+            const double base = level(rng);
+            for (double& x : series[s]) x = constant[s] ? base : base + noise(rng);
+        }
+        const la::FlatMatrix rho = correlation_matrix(series);
+        ASSERT_EQ(rho.rows(), series.size());
+        ASSERT_EQ(rho.cols(), series.size());
+        for (std::size_t i = 0; i < series.size(); ++i) {
+            EXPECT_EQ(rho(i, i), 1.0);
+            for (std::size_t j = 0; j < series.size(); ++j) {
+                if (i == j) continue;
+                const double expected = constant[i] || constant[j]
+                                            ? 0.0
+                                            : reference_pearson(series[i], series[j]);
+                EXPECT_EQ(rho(i, j), expected) << i << "," << j;
+                EXPECT_EQ(pearson(series[i], series[j]), expected) << i << "," << j;
+            }
+        }
+    }
+}
+
+TEST(CorrelationMatrixTest, UnequalLengthsThrow) {
+    EXPECT_THROW(correlation_matrix({{1, 2, 3}, {1, 2}}), std::invalid_argument);
 }
 
 TEST(StatsTest, QuantileInterpolates) {
