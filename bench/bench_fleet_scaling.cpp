@@ -21,7 +21,10 @@
 // ~80K-VM / 7-day fleet (the population of the DSN'16 datacenter) timed
 // at jobs=1 and at one job per hardware thread (at least 2), with peak
 // RSS and the scheduler's arena counters, written under "paper" in the
-// JSON artifact.
+// JSON artifact and stamped with its own SIMD path and hardware thread
+// count. Without it, the "paper" section of the artifact already at the
+// output path (if any) is carried over unchanged, so a quick re-run
+// never drops the expensive rows.
 //
 // Knobs: ATM_BOXES (default 24), ATM_MAX_JOBS (default
 // max(8, hardware concurrency) so the sweep exercises oversubscription
@@ -33,6 +36,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -129,6 +135,29 @@ atm::obs::json::Value exec_stats_json(const atm::core::FleetExecStats& stats) {
     v.set("arena_allocations", json::Value::of(stats.arena_allocations));
     v.set("arena_slabs", json::Value::of(stats.arena_slabs));
     return v;
+}
+
+/// The "paper" section of the artifact already at `path`; null when the
+/// file is absent or has none. A file that does not parse is reported on
+/// stderr and yields null too.
+atm::obs::json::Value previous_paper_section(const std::string& path) {
+    namespace json = atm::obs::json;
+    std::ifstream in(path);
+    if (!in) return json::Value::null();
+    std::ostringstream text;
+    text << in.rdbuf();
+    try {
+        const json::Value doc = json::parse(text.str());
+        if (doc.type == json::Value::Type::kObject && doc.has("paper")) {
+            return doc.at("paper");
+        }
+    } catch (const std::exception& e) {
+        std::fprintf(stderr,
+                     "warning: %s does not parse (%s); no paper section "
+                     "carried over\n",
+                     path.c_str(), e.what());
+    }
+    return json::Value::null();
 }
 
 }  // namespace
@@ -252,8 +281,18 @@ int main() {
     }
     doc.set("counters", std::move(counters));
 
+    const char* out_env = std::getenv("ATM_BENCH_JSON");
+    const std::string out_path =
+        out_env != nullptr ? out_env : "BENCH_fleet.json";
+
     // ---- paper-scale section (opt-in: it is minutes of work) -----------
-    if (bench::env_int("ATM_PAPER_SCALE", 0) != 0) {
+    if (bench::env_int("ATM_PAPER_SCALE", 0) == 0) {
+        obs::json::Value previous = previous_paper_section(out_path);
+        if (previous.type != obs::json::Value::Type::kNull) {
+            std::printf("\nkept the paper section of %s\n", out_path.c_str());
+            doc.set("paper", std::move(previous));
+        }
+    } else {
         trace::TraceGenOptions paper_options;
         paper_options.num_boxes = bench::env_int("ATM_PAPER_BOXES", 6000);
         paper_options.num_days = 7;
@@ -317,13 +356,16 @@ int main() {
                              paper_trace.total_vms())));
         paper.set("days", obs::json::Value::of(static_cast<std::int64_t>(
                               paper_options.num_days)));
+        // Its own provenance: a carried-over section outlives the
+        // top-level stamps of later quick runs.
+        paper.set("simd", obs::json::Value::of(
+                              simd::to_string(simd::active_path())));
+        paper.set("hardware_threads",
+                  obs::json::Value::of(static_cast<std::uint64_t>(hw)));
         paper.set("runs", std::move(paper_runs));
         doc.set("paper", std::move(paper));
     }
 
-    const char* out_env = std::getenv("ATM_BENCH_JSON");
-    const std::string out_path =
-        out_env != nullptr ? out_env : "BENCH_fleet.json";
     bench::write_json_file(out_path, doc);
     std::printf("\nwrote %s\n", out_path.c_str());
 

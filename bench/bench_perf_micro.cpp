@@ -57,14 +57,14 @@ void BM_DtwDistanceBanded(benchmark::State& state) {
 }
 BENCHMARK(BM_DtwDistanceBanded)->Arg(1)->Arg(2)->Arg(5);
 
-/// Warm-workspace DTW pair: the steady-state cost inside the pairwise
-/// matrix loop — no per-call DP-row allocations, band-window-only resets.
+/// Warm-scratch DTW pair: a batch of one with no per-call DP-row
+/// allocations and band-window-only resets.
 void BM_DtwDistanceWorkspace(benchmark::State& state) {
     const auto series = box_series(static_cast<int>(state.range(0)));
-    cluster::DtwWorkspace workspace;
+    simd::DtwScratch scratch;
     for (auto _ : state) {
         benchmark::DoNotOptimize(cluster::dtw_distance(
-            series[0], series[2], /*band=*/8, workspace));
+            series[0], series[2], /*band=*/8, scratch));
     }
 }
 BENCHMARK(BM_DtwDistanceWorkspace)->Arg(1)->Arg(2)->Arg(5);

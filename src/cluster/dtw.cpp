@@ -17,65 +17,22 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 double dtw_distance(std::span<const double> p, std::span<const double> q,
-                    int band, DtwWorkspace& workspace) {
+                    int band, simd::DtwScratch& scratch) {
     const std::size_t n = p.size();
     const std::size_t m = q.size();
     if (n == 0 && m == 0) return 0.0;
     if (n == 0 || m == 0) return kInf;
-
-    // The recurrence itself lives in the SIMD kernel layer: scalar row DP
-    // or a vectorized anti-diagonal wavefront, selected once at dispatch
-    // time. All paths are bit-identical for finite inputs (simd.hpp).
-    return simd::active_kernels().dtw_distance(p.data(), n, q.data(), m, band,
-                                               workspace.scratch);
+    const double* ps = p.data();
+    const double* qs = q.data();
+    double out = 0.0;
+    simd::active_kernels().dtw_distance_batch(&ps, &qs, 1, n, m, band, scratch,
+                                              &out);
+    return out;
 }
 
 double dtw_distance(std::span<const double> p, std::span<const double> q, int band) {
-    DtwWorkspace workspace;
-    return dtw_distance(p, q, band, workspace);
-}
-
-DtwAlignment dtw_align(std::span<const double> p, std::span<const double> q) {
-    DtwAlignment out;
-    const std::size_t n = p.size();
-    const std::size_t m = q.size();
-    if (n == 0 || m == 0) {
-        out.distance = (n == 0 && m == 0) ? 0.0 : kInf;
-        return out;
-    }
-    // Full table as one contiguous (n+1) x (m+1) block with a virtual
-    // row/column of infinities; table(0, 0) = 0.
-    la::FlatMatrix table(n + 1, m + 1, kInf);
-    table(0, 0) = 0.0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        for (std::size_t j = 1; j <= m; ++j) {
-            const double diff = p[i - 1] - q[j - 1];
-            table(i, j) = diff * diff + std::min({table(i - 1, j - 1),
-                                                  table(i - 1, j),
-                                                  table(i, j - 1)});
-        }
-    }
-    out.distance = table(n, m);
-
-    // Backtrack greedily along the minimal predecessor.
-    std::size_t i = n;
-    std::size_t j = m;
-    while (i >= 1 && j >= 1) {
-        out.path.emplace_back(i - 1, j - 1);
-        const double diag = table(i - 1, j - 1);
-        const double up = table(i - 1, j);
-        const double left = table(i, j - 1);
-        if (diag <= up && diag <= left) {
-            --i;
-            --j;
-        } else if (up <= left) {
-            --i;
-        } else {
-            --j;
-        }
-    }
-    std::reverse(out.path.begin(), out.path.end());
-    return out;
+    simd::DtwScratch scratch;
+    return dtw_distance(p, q, band, scratch);
 }
 
 std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
@@ -98,7 +55,7 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band) {
 la::FlatMatrix dtw_distance_matrix(
     const std::vector<std::vector<double>>& series, int band,
     exec::ThreadPool* pool, obs::MetricsRegistry* metrics,
-    const exec::CancellationToken* cancel, DtwWorkspace* caller_workspace) {
+    const exec::CancellationToken* cancel, simd::DtwScratch* caller_scratch) {
     const std::size_t n = series.size();
     la::FlatMatrix dist(n, n, 0.0);
     if (n < 2) return dist;
@@ -133,14 +90,14 @@ la::FlatMatrix dtw_distance_matrix(
         std::size_t j = i + 1 + static_cast<std::size_t>(begin - offset);
 
         // Reused across the chunk's pairs. Serial runs (no pool) borrow
-        // the caller's workspace when offered — the per-worker
-        // arena-backed scratch of the sharded fleet scheduler — so
-        // repeated matrices stop re-growing DP rows. Pooled chunks run
-        // on different threads and keep private workspaces.
-        DtwWorkspace local_workspace;
-        DtwWorkspace& workspace =
-            (pool == nullptr && caller_workspace != nullptr) ? *caller_workspace
-                                                             : local_workspace;
+        // the caller's scratch when offered — the per-worker
+        // arena-backed scratch of the fleet scheduler — so repeated
+        // matrices stop re-growing DP rows. Pooled chunks run on
+        // different threads and keep private scratch.
+        simd::DtwScratch local_scratch;
+        simd::DtwScratch& scratch =
+            (pool == nullptr && caller_scratch != nullptr) ? *caller_scratch
+                                                           : local_scratch;
         // Cell counting is only observable through the registry, and
         // dtw_cell_count walks every row — skip it entirely without a
         // registry and memoize per shape with one (consecutive pairs
@@ -151,9 +108,9 @@ la::FlatMatrix dtw_distance_matrix(
         std::uint64_t cc = 0;
 
         // Consecutive pairs with the same lengths flush through the
-        // lane-batched kernel (one pair per SIMD lane, scalar-bitwise
-        // per lane — simd.hpp), so results and counters are identical
-        // to the per-pair loop for any grouping, worker count, or path.
+        // lane-batched kernel (one pair per SIMD lane, each lane's result
+        // independent of its lane-mates — simd.hpp), so results and
+        // counters are identical for any grouping, worker count, or path.
         const simd::KernelTable& kernels = simd::active_kernels();
         constexpr std::size_t kMaxBatch = 16;
         const std::size_t width = std::min(kernels.dtw_batch_width, kMaxBatch);
@@ -168,7 +125,7 @@ la::FlatMatrix dtw_distance_matrix(
             if (pending == 0) return;
             double out[kMaxBatch];
             kernels.dtw_distance_batch(batch_p, batch_q, pending, batch_n,
-                                       batch_m, band, workspace.scratch, out);
+                                       batch_m, band, scratch, out);
             for (std::size_t b = 0; b < pending; ++b) {
                 dist(batch_i[b], batch_j[b]) = out[b];
                 dist(batch_j[b], batch_i[b]) = out[b];

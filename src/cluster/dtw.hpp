@@ -17,24 +17,6 @@ class MetricsRegistry;
 
 namespace atm::cluster {
 
-/// Reusable scratch for the DTW kernels: the rolling DP rows/diagonals of
-/// `dtw_distance` (owned by the SIMD kernel layer — the scalar path uses
-/// two rolling rows, the vector paths rolling anti-diagonals) and the
-/// full table of `dtw_align`, grown on demand and never shrunk. One
-/// workspace serves any sequence of calls of any sizes (each call
-/// re-initializes the cells it uses), so the steady state of a pair loop
-/// — same-length series, one workspace — performs zero heap allocations
-/// per call. Not thread-safe: one workspace per thread/task.
-struct DtwWorkspace {
-    DtwWorkspace() = default;
-    /// Arena-backed scratch (per-worker workspaces, exec/arena.hpp's
-    /// lifetime rules apply: the arena must outlive the workspace).
-    explicit DtwWorkspace(exec::Arena* arena) : scratch(arena) {}
-
-    simd::DtwScratch scratch;
-    la::FlatMatrix table;  ///< dtw_align's (n+1) x (m+1) DP table
-};
-
 /// Dynamic-time-warping dissimilarity between two series (Section III-A).
 ///
 /// Implements the paper's recurrence exactly:
@@ -49,15 +31,15 @@ struct DtwWorkspace {
 /// means unconstrained. Banding is an optimization the paper does not
 /// discuss; with band < 0 the result is the textbook DTW value.
 ///
-/// The workspace overload reuses `workspace`'s DP state instead of
-/// allocating fresh storage; the banded kernel touches only the band
-/// window, so it is O(band) per row instead of O(m). Both overloads
-/// return bit-identical values. The recurrence runs on the active
-/// simd::KernelTable path (scalar row DP or vectorized anti-diagonal
-/// wavefront); all paths are bit-identical for finite inputs
-/// (simd.hpp's tolerance policy), so the choice is pure performance.
+/// The scratch overload reuses `scratch`'s DP rows instead of
+/// allocating fresh storage (one scratch serves calls of any sizes); the
+/// banded kernel touches only the band window, so it is O(band) per row
+/// instead of O(m). Both overloads return bit-identical values. The pair
+/// runs as a batch of one through the active path's
+/// simd::KernelTable::dtw_distance_batch, which is bit-identical on every
+/// path for finite inputs (simd.hpp's FP policy).
 double dtw_distance(std::span<const double> p, std::span<const double> q,
-                    int band, DtwWorkspace& workspace);
+                    int band, simd::DtwScratch& scratch);
 double dtw_distance(std::span<const double> p, std::span<const double> q,
                     int band = -1);
 
@@ -73,34 +55,22 @@ std::uint64_t dtw_cell_count(std::size_t n, std::size_t m, int band = -1);
 /// search. When `pool` is non-null the upper triangle's pairs are split
 /// into balanced contiguous chunks computed on the pool (each (i, j) cell
 /// is written by exactly one chunk, so the result is bit-identical for
-/// any worker count); each chunk reuses one DtwWorkspace across its
+/// any worker count); each chunk reuses one simd::DtwScratch across its
 /// pairs, keeping the pair loop allocation-free. When `metrics` is
 /// non-null each chunk records `cluster.dtw.pairs` and
 /// `cluster.dtw.cells` counters (from its worker thread — counters only,
 /// per the obs determinism convention; totals are chunking-invariant).
 /// When `cancel` is non-null it is checked once per pair ("search.dtw")
 /// so a cancelled box abandons the O(n² · len²) loop promptly.
-/// When `pool` is null and `workspace` is non-null, the serial pair loop
-/// runs on the caller's workspace instead of a fresh one — the sharded
-/// fleet scheduler passes each worker's arena-backed workspace here so
-/// box after box reuses the same high-water scratch (bit-identity is
-/// unaffected; the workspace is pure scratch).
+/// When `pool` is null and `scratch` is non-null, the serial pair loop
+/// runs on the caller's scratch instead of a fresh one — the fleet
+/// scheduler passes each worker's arena-backed scratch here so box after
+/// box reuses the same high-water buffers (bit-identity is unaffected;
+/// the scratch carries nothing between calls).
 la::FlatMatrix dtw_distance_matrix(
     const std::vector<std::vector<double>>& series, int band = -1,
     exec::ThreadPool* pool = nullptr, obs::MetricsRegistry* metrics = nullptr,
     const exec::CancellationToken* cancel = nullptr,
-    DtwWorkspace* workspace = nullptr);
-
-/// Full DTW alignment: the optimal warping path as (i, j) index pairs
-/// (0-based, monotone, from (0, 0) to (n-1, m-1)) plus the cumulative
-/// cost λ(n, m). Uses O(n·m) memory — one contiguous DP block — for
-/// backtracking; intended for inspection/diagnostics, not the inner
-/// clustering loop. An empty input series yields an empty path with
-/// infinite (or zero, if both empty) distance.
-struct DtwAlignment {
-    std::vector<std::pair<std::size_t, std::size_t>> path;
-    double distance = 0.0;
-};
-DtwAlignment dtw_align(std::span<const double> p, std::span<const double> q);
+    simd::DtwScratch* scratch = nullptr);
 
 }  // namespace atm::cluster

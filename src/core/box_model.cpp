@@ -69,7 +69,7 @@ void BoxModel::fit(const Series& history, int windows_per_day,
         search.metrics = metrics;
         search.cancel = config.cancel;
         if (config.workspace != nullptr) {
-            search.dtw_workspace = &config.workspace->dtw;
+            search.dtw_scratch = &config.workspace->dtw;
         }
         try {
             ATM_FAULT_SITE(config.fault, "search.step1");

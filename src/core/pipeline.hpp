@@ -3,7 +3,6 @@
 #include <string>
 #include <vector>
 
-#include "cluster/dtw.hpp"
 #include "core/errors.hpp"
 #include "core/signature_search.hpp"
 #include "core/spatial_model.hpp"
@@ -12,6 +11,7 @@
 #include "exec/fault.hpp"
 #include "forecast/forecaster.hpp"
 #include "forecast/nn.hpp"
+#include "linalg/simd/simd.hpp"
 #include "obs/metrics.hpp"
 #include "resize/policies.hpp"
 #include "ticketing/tickets.hpp"
@@ -29,7 +29,7 @@ struct PipelineWorkspace {
     PipelineWorkspace() : dtw(&arena), mlp(&arena) {}
 
     exec::Arena arena;
-    cluster::DtwWorkspace dtw;
+    simd::DtwScratch dtw;
     forecast::MlpWorkspace mlp;
 };
 

@@ -59,7 +59,7 @@ SignatureSearchResult find_signatures(
         // when given) for both the cluster sweep and the medoid pick.
         const la::FlatMatrix dist = cluster::dtw_distance_matrix(
             series, options.dtw_band, options.pool, metrics, options.cancel,
-            options.dtw_workspace);
+            options.dtw_scratch);
         // k in [2, n/2] per the paper ("we aim to reduce the original set to
         // at least its half"); n < 4 degenerates to k = 2.
         const int k_max = std::max(2, n / 2);

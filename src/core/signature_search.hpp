@@ -9,8 +9,8 @@ namespace atm::exec {
 class ThreadPool;
 class CancellationToken;
 }
-namespace atm::cluster {
-struct DtwWorkspace;
+namespace atm::simd {
+struct DtwScratch;
 }
 namespace atm::obs {
 class MetricsRegistry;
@@ -51,9 +51,9 @@ struct SignatureSearchOptions {
     exec::ThreadPool* pool = nullptr;
     /// Optional caller-owned DTW scratch (not owned), forwarded to the
     /// distance matrix for serial (pool-less) computation — the fleet
-    /// scheduler's per-worker arena-backed workspace. Pure scratch:
+    /// scheduler's per-worker arena-backed scratch. Pure scratch:
     /// results are bit-identical with or without it.
-    cluster::DtwWorkspace* dtw_workspace = nullptr;
+    simd::DtwScratch* dtw_scratch = nullptr;
     /// Optional stage-metrics sink (not owned). Records search counters
     /// (`search.series`, `search.clusters`, `search.initial_signatures`,
     /// `search.final_signatures`), the clustering silhouette gauge, and

@@ -5,7 +5,7 @@
 
 #include <immintrin.h>
 
-#include "linalg/simd/kernels_wavefront.hpp"
+#include "linalg/simd/kernels_generic.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
@@ -36,31 +36,14 @@ struct VecAvx2 {
     }
 };
 
-double dtw_distance_avx2(const double* p, std::size_t n, const double* q,
-                         std::size_t m, int band, DtwScratch& scratch) {
-    return dtw_distance_wavefront<VecAvx2>(p, n, q, m, band, scratch);
-}
-
-void dtw_distance_batch_avx2(const double* const* ps, const double* const* qs,
-                             std::size_t count, std::size_t n, std::size_t m,
-                             int band, DtwScratch& scratch, double* out) {
-    dtw_distance_batch_vec<VecAvx2>(ps, qs, count, n, m, band, scratch, out);
-}
-
-void mlp_train_batch_avx2(const MlpBatch& batch, MlpBatchJob* jobs,
-                          std::size_t count, MlpScratch& scratch) {
-    mlp_train_batch_vec<VecAvx2>(batch, jobs, count, scratch);
-}
-
 }  // namespace
 
 const KernelTable& avx2_kernel_table() {
     static const KernelTable table{
         Path::kAvx2,
-        dtw_distance_avx2,
         /*dtw_batch_width=*/VecAvx2::kWidth,
-        dtw_distance_batch_avx2,
-        mlp_train_batch_avx2,
+        dtw_distance_batch_vec<VecAvx2>,
+        mlp_train_batch_vec<VecAvx2>,
         mlp_activate_array<VecAvx2>,
     };
     return table;

@@ -9,7 +9,7 @@
 
 #include <immintrin.h>
 
-#include "linalg/simd/kernels_wavefront.hpp"
+#include "linalg/simd/kernels_generic.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
@@ -50,32 +50,14 @@ private:
     static Reg as_pd(__m512i r) { return _mm512_castsi512_pd(r); }
 };
 
-double dtw_distance_avx512(const double* p, std::size_t n, const double* q,
-                           std::size_t m, int band, DtwScratch& scratch) {
-    return dtw_distance_wavefront<VecAvx512>(p, n, q, m, band, scratch);
-}
-
-void dtw_distance_batch_avx512(const double* const* ps,
-                               const double* const* qs, std::size_t count,
-                               std::size_t n, std::size_t m, int band,
-                               DtwScratch& scratch, double* out) {
-    dtw_distance_batch_vec<VecAvx512>(ps, qs, count, n, m, band, scratch, out);
-}
-
-void mlp_train_batch_avx512(const MlpBatch& batch, MlpBatchJob* jobs,
-                            std::size_t count, MlpScratch& scratch) {
-    mlp_train_batch_vec<VecAvx512>(batch, jobs, count, scratch);
-}
-
 }  // namespace
 
 const KernelTable& avx512_kernel_table() {
     static const KernelTable table{
         Path::kAvx512,
-        dtw_distance_avx512,
         /*dtw_batch_width=*/VecAvx512::kWidth,
-        dtw_distance_batch_avx512,
-        mlp_train_batch_avx512,
+        dtw_distance_batch_vec<VecAvx512>,
+        mlp_train_batch_vec<VecAvx512>,
         mlp_activate_array<VecAvx512>,
     };
     return table;

@@ -5,7 +5,7 @@
 
 #include <arm_neon.h>
 
-#include "linalg/simd/kernels_wavefront.hpp"
+#include "linalg/simd/kernels_generic.hpp"
 #include "linalg/simd/simd.hpp"
 
 namespace atm::simd {
@@ -44,31 +44,14 @@ private:
     static Reg as_f64(uint64x2_t r) { return vreinterpretq_f64_u64(r); }
 };
 
-double dtw_distance_neon(const double* p, std::size_t n, const double* q,
-                         std::size_t m, int band, DtwScratch& scratch) {
-    return dtw_distance_wavefront<VecNeon>(p, n, q, m, band, scratch);
-}
-
-void dtw_distance_batch_neon(const double* const* ps, const double* const* qs,
-                             std::size_t count, std::size_t n, std::size_t m,
-                             int band, DtwScratch& scratch, double* out) {
-    dtw_distance_batch_vec<VecNeon>(ps, qs, count, n, m, band, scratch, out);
-}
-
-void mlp_train_batch_neon(const MlpBatch& batch, MlpBatchJob* jobs,
-                          std::size_t count, MlpScratch& scratch) {
-    mlp_train_batch_vec<VecNeon>(batch, jobs, count, scratch);
-}
-
 }  // namespace
 
 const KernelTable& neon_kernel_table() {
     static const KernelTable table{
         Path::kNeon,
-        dtw_distance_neon,
         /*dtw_batch_width=*/VecNeon::kWidth,
-        dtw_distance_batch_neon,
-        mlp_train_batch_neon,
+        dtw_distance_batch_vec<VecNeon>,
+        mlp_train_batch_vec<VecNeon>,
         mlp_activate_array<VecNeon>,
     };
     return table;

@@ -11,7 +11,7 @@
 /// Runtime-dispatched SIMD kernels for the two pipeline hot loops: the
 /// banded DTW recurrence and MLP training (DESIGN.md §7.13).
 ///
-/// Dispatch model: every binary carries the scalar reference kernels plus
+/// Dispatch model: every binary carries the scalar kernels plus
 /// whichever vector translation units the target architecture compiles
 /// (AVX2/AVX-512 on x86-64, NEON on aarch64). The active path is chosen
 /// once — CPUID probe for the best supported ISA, overridable with the
@@ -22,13 +22,11 @@
 /// FP policy (the contract tests/test_simd.cpp and the golden suite
 /// enforce): every kernel is **bit-identical on every path**, so results
 /// never depend on the machine's best ISA.
-///   * DTW: the single-pair vector kernel walks anti-diagonal wavefronts
-///     instead of rows, and the batched kernel runs the row recurrence
-///     with one pair per lane; both evaluate exactly the per-cell
-///     expression of the scalar recurrence — one multiply, one three-way
-///     min, one add, never fused (-ffp-contract=off) — and FP min/add per
-///     cell are order-free here because each cell's operands are the same
-///     three cells in every traversal.
+///   * DTW: every path, scalar included, runs one row recurrence with one
+///     pair per lane (the scalar path is one lane wide). Each cell is one
+///     subtract, one multiply, a three-way min and one add, never fused
+///     (-ffp-contract=off), so a pair's distance does not depend on the
+///     path or on its lane-mates.
 ///   * MLP: vector paths train one network per SIMD lane. Each lane runs
 ///     the scalar operation sequence — ascending-index dot products
 ///     seeded with the bias, unfused multiply/add, and the project's own
@@ -38,9 +36,9 @@
 ///     run bit for bit, on any host's libm.
 namespace atm::simd {
 
-/// Instruction-set paths a build may carry. kScalar is always compiled
-/// and is the reference every other path is differentially tested
-/// against; the vector paths exist only on their architecture.
+/// Instruction-set paths a build may carry. kScalar, the generic kernels
+/// one lane wide, is always compiled; the vector paths exist only on
+/// their architecture.
 enum class Path : int {
     kScalar = 0,
     kAvx2,
@@ -48,15 +46,6 @@ enum class Path : int {
     kNeon,
 };
 
-/// Reusable scratch for the DTW kernels, grown on demand and never
-/// shrunk (steady-state calls allocate nothing). The scalar path uses
-/// `prev`/`curr` as the two rolling DP *rows*; the vector single-pair
-/// path uses `prev`/`curr`/`next` as three rolling anti-*diagonals* plus
-/// a reversed copy of q (`qrev`, so diagonal loads are contiguous) and
-/// the per-row band windows (`jlo`/`jhi`). The batched kernel reuses
-/// `prev`/`curr` as lane-interleaved rolling rows and stages the input
-/// series lane-interleaved in `lanes_p`/`lanes_q`. Not thread-safe: one
-/// scratch per thread/task.
 /// Grown-on-demand buffer types for kernel scratch: default-constructed
 /// they are plain heap vectors; constructed over an exec::Arena they
 /// draw slab memory instead (per-worker workspaces, DESIGN.md §7.14).
@@ -71,6 +60,13 @@ using ScratchIdxVec = exec::ArenaVector<std::size_t>;
 double* grow(ScratchVec& buf, std::size_t size);
 std::size_t* grow(ScratchIdxVec& buf, std::size_t size);
 
+/// Reusable scratch for the DTW kernel, grown on demand and never shrunk
+/// (steady-state calls allocate nothing): the two lane-interleaved
+/// rolling DP rows (`prev`/`curr`), the input series staged
+/// lane-interleaved (`lanes_p`/`lanes_q`) and the per-row band windows
+/// (`jlo`/`jhi`). Each call re-initializes every cell it reads, so one
+/// scratch serves calls of any sizes. Not thread-safe: one scratch per
+/// thread/task.
 struct DtwScratch {
     DtwScratch() = default;
     /// Arena-backed scratch for workspace-lifetime reuse. The arena must
@@ -78,8 +74,6 @@ struct DtwScratch {
     explicit DtwScratch(exec::Arena* arena)
         : prev(exec::ArenaAllocator<double>(arena)),
           curr(exec::ArenaAllocator<double>(arena)),
-          next(exec::ArenaAllocator<double>(arena)),
-          qrev(exec::ArenaAllocator<double>(arena)),
           lanes_p(exec::ArenaAllocator<double>(arena)),
           lanes_q(exec::ArenaAllocator<double>(arena)),
           jlo(exec::ArenaAllocator<std::size_t>(arena)),
@@ -87,8 +81,6 @@ struct DtwScratch {
 
     ScratchVec prev;
     ScratchVec curr;
-    ScratchVec next;
-    ScratchVec qrev;
     ScratchVec lanes_p;
     ScratchVec lanes_q;
     ScratchIdxVec jlo;
@@ -208,29 +200,19 @@ double mlp_predict(const MlpShape& shape, const double* params,
 struct KernelTable {
     Path path;
 
-    /// Banded DTW distance for non-empty p, q (the caller handles empty
-    /// series). band < 0 = unconstrained. Scalar-path result is the
-    /// historical row kernel's; vector paths are bit-identical to it for
-    /// finite inputs (NaN propagation is unspecified — the pipeline
-    /// repairs series before DTW).
-    double (*dtw_distance)(const double* p, std::size_t n, const double* q,
-                           std::size_t m, int band, DtwScratch& scratch);
-
-    /// Pairs the batched DTW kernel folds into one pass (1 on the scalar
-    /// path, the register lane count on vector paths). Callers size their
+    /// Pairs the DTW kernel folds into one pass (1 on the scalar path,
+    /// the register lane count on vector paths). Callers size their
     /// flush groups with this.
     std::size_t dtw_batch_width;
 
-    /// Batched banded DTW over `count` ≤ dtw_batch_width pairs that all
-    /// share the same lengths (n, m) and band: writes out[b] =
-    /// dtw_distance(ps[b], n, qs[b], m, band) for b < count. Vector paths
-    /// run the *row* recurrence with one pair per lane — identical
-    /// control flow and band windows across lanes, per-cell arithmetic
-    /// exactly the scalar sequence — so every lane's result is
-    /// bit-identical to the scalar kernel's (same finite-input caveat as
-    /// dtw_distance). This is the throughput kernel behind the pairwise
-    /// distance matrix, where the narrow band makes within-pair
-    /// vectorization overhead-bound.
+    /// Banded DTW over `count` ≤ dtw_batch_width pairs of non-empty
+    /// series (the caller handles empty ones) that all share the same
+    /// lengths (n, m) and band (< 0 = unconstrained): writes out[b] =
+    /// λ(n, m) of (ps[b], qs[b]) for b < count. The one DTW recurrence of
+    /// every path — the row DP with one pair per lane — so each result is
+    /// bit-identical on every path and for any lane-mates, for finite
+    /// inputs (NaN propagation is unspecified: the pipeline repairs
+    /// series before DTW). A single pair is a batch of one.
     void (*dtw_distance_batch)(const double* const* ps,
                                const double* const* qs, std::size_t count,
                                std::size_t n, std::size_t m, int band,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -28,6 +29,9 @@ struct ServeEngine::BoxState {
     bool has_model = false;
     core::BoxModel model;
     double corr_at_search = 0.0;
+    /// The drift statistic of this box's latest window that had a model;
+    /// the serve.drift gauge is the largest over the boxes.
+    std::optional<double> drift;
 
     /// One-step forecast APEs of this box; metrics_ carries their merge.
     obs::HistogramSnapshot ape;
@@ -505,10 +509,15 @@ void ServeEngine::model_work(int box_index, std::uint64_t epoch, Decisions& d,
     // journal pins whether one actually ran (SLO shed is wall-clock).
     bool want_search = !box.has_model;
     if (box.has_model) {
-        const double drift =
-            std::abs(mean_abs_rho(box.history) - box.corr_at_search);
-        metrics_.gauges["serve.drift"] = drift;
-        if (drift > config_.drift_threshold) want_search = true;
+        box.drift = std::abs(mean_abs_rho(box.history) - box.corr_at_search);
+        if (*box.drift > config_.drift_threshold) want_search = true;
+        // The largest drift over the boxes, so the gauge does not depend
+        // on the order in which connections interleave their boxes.
+        double largest = 0.0;
+        for (const auto& state : boxes_) {
+            if (state->drift) largest = std::max(largest, *state->drift);
+        }
+        metrics_.gauges["serve.drift"] = largest;
     }
     if (d.forced ? d.searched : want_search) {
         const bool committed =

@@ -1,4 +1,4 @@
-// Tests for the extension modules: k-medoids and DTW alignment (cluster),
+// Tests for the extension modules: k-medoids (cluster),
 // Holt-Winters and ensembles (forecast), DRF (resize), incident extraction
 // (ticketing) and the rolling pipeline (core).
 
@@ -8,7 +8,6 @@
 #include <numbers>
 #include <random>
 
-#include "cluster/dtw.hpp"
 #include "cluster/kmedoids.hpp"
 #include "core/rolling.hpp"
 #include "forecast/holt_winters.hpp"
@@ -69,51 +68,6 @@ TEST(KMedoidsTest, Validation) {
                  std::invalid_argument);
     EXPECT_THROW(cluster::k_medoids(two_blob_distances(), 7),
                  std::invalid_argument);
-}
-
-// --------------------------------------------------------- DTW alignment
-
-TEST(DtwAlignTest, DistanceMatchesDtwDistance) {
-    const std::vector<double> p{3, 1, 4, 1, 5};
-    const std::vector<double> q{2, 7, 1, 8};
-    const auto alignment = cluster::dtw_align(p, q);
-    EXPECT_DOUBLE_EQ(alignment.distance, cluster::dtw_distance(p, q));
-}
-
-TEST(DtwAlignTest, PathIsMonotoneAndComplete) {
-    const std::vector<double> p{1, 2, 3, 2, 1};
-    const std::vector<double> q{1, 3, 1};
-    const auto alignment = cluster::dtw_align(p, q);
-    ASSERT_FALSE(alignment.path.empty());
-    EXPECT_EQ(alignment.path.front(), (std::pair<std::size_t, std::size_t>{0, 0}));
-    EXPECT_EQ(alignment.path.back(),
-              (std::pair<std::size_t, std::size_t>{p.size() - 1, q.size() - 1}));
-    for (std::size_t s = 1; s < alignment.path.size(); ++s) {
-        const auto [pi, pj] = alignment.path[s - 1];
-        const auto [ci, cj] = alignment.path[s];
-        EXPECT_LE(ci - pi, 1u);
-        EXPECT_LE(cj - pj, 1u);
-        EXPECT_GE(ci, pi);
-        EXPECT_GE(cj, pj);
-        EXPECT_TRUE(ci > pi || cj > pj);
-    }
-}
-
-TEST(DtwAlignTest, PathCostSumsToDistance) {
-    const std::vector<double> p{1, 5, 2, 8};
-    const std::vector<double> q{2, 4, 4, 7, 1};
-    const auto alignment = cluster::dtw_align(p, q);
-    double cost = 0.0;
-    for (const auto& [i, j] : alignment.path) {
-        cost += (p[i] - q[j]) * (p[i] - q[j]);
-    }
-    EXPECT_NEAR(cost, alignment.distance, 1e-9);
-}
-
-TEST(DtwAlignTest, EmptyInputs) {
-    const std::vector<double> p{1};
-    EXPECT_TRUE(std::isinf(cluster::dtw_align(p, {}).distance));
-    EXPECT_DOUBLE_EQ(cluster::dtw_align({}, {}).distance, 0.0);
 }
 
 // ----------------------------------------------------------- Holt-Winters

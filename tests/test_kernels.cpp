@@ -11,13 +11,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <random>
 #include <span>
 #include <vector>
 
 #include "cluster/dtw.hpp"
+#include "dtw_reference.hpp"
 #include "exec/thread_pool.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
@@ -59,8 +59,6 @@ namespace {
 
 using namespace atm;
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 std::vector<double> wave(std::size_t n, unsigned seed, double phase) {
     std::mt19937 rng(seed);
     std::normal_distribution<double> noise(0.0, 0.05);
@@ -72,62 +70,8 @@ std::vector<double> wave(std::size_t n, unsigned seed, double phase) {
     return out;
 }
 
-// Textbook full-table DTW — the recurrence straight from the paper, no
-// rolling rows, no band. Arithmetic per cell matches the kernel exactly.
-double reference_dtw_full(std::span<const double> p, std::span<const double> q) {
-    const std::size_t n = p.size();
-    const std::size_t m = q.size();
-    if (n == 0 && m == 0) return 0.0;
-    if (n == 0 || m == 0) return kInf;
-    std::vector<std::vector<double>> table(n + 1, std::vector<double>(m + 1, kInf));
-    table[0][0] = 0.0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        for (std::size_t j = 1; j <= m; ++j) {
-            const double diff = p[i - 1] - q[j - 1];
-            const double d = diff * diff;
-            const double best =
-                std::min({table[i - 1][j - 1], table[i - 1][j], table[i][j - 1]});
-            table[i][j] = best == kInf ? kInf : d + best;
-        }
-    }
-    return table[n][m];
-}
-
-// The pre-refactor banded kernel: per-call DP-row allocations and a full
-// O(m) row reset per DP row (instead of the band window only). Same band
-// bounds, same cell arithmetic.
-double reference_dtw_banded(std::span<const double> p, std::span<const double> q,
-                            int band) {
-    const std::size_t n = p.size();
-    const std::size_t m = q.size();
-    if (n == 0 && m == 0) return 0.0;
-    if (n == 0 || m == 0) return kInf;
-    std::vector<double> prev(m + 1, kInf);
-    std::vector<double> curr(m + 1, kInf);
-    prev[0] = 0.0;
-    const double slope =
-        n > 1 ? static_cast<double>(m) / static_cast<double>(n) : 1.0;
-    for (std::size_t i = 1; i <= n; ++i) {
-        std::fill(curr.begin(), curr.end(), kInf);
-        std::size_t j_lo = 1;
-        std::size_t j_hi = m;
-        if (band >= 0) {
-            const double center = slope * static_cast<double>(i);
-            const auto lo = static_cast<long long>(std::floor(center)) - band;
-            const auto hi = static_cast<long long>(std::ceil(center)) + band;
-            j_lo = static_cast<std::size_t>(std::max(1LL, lo));
-            j_hi = static_cast<std::size_t>(std::min(static_cast<long long>(m), hi));
-        }
-        for (std::size_t j = j_lo; j <= j_hi; ++j) {
-            const double diff = p[i - 1] - q[j - 1];
-            const double d = diff * diff;
-            const double best = std::min({prev[j - 1], prev[j], curr[j - 1]});
-            curr[j] = best == kInf ? kInf : d + best;
-        }
-        std::swap(prev, curr);
-    }
-    return prev[m];
-}
+using test::reference_dtw_banded;
+using test::reference_dtw_full;
 
 // ---- DTW -------------------------------------------------------------------
 
@@ -162,17 +106,17 @@ TEST(KernelsDtwTest, BandedMatchesFullRowResetReferenceBitExactly) {
 }
 
 TEST(KernelsDtwTest, WorkspaceReuseAcrossSizesMatchesFreshWorkspaces) {
-    // One workspace carried through pairs of different lengths and bands
-    // must give the same answers as a fresh workspace per call — each
+    // One scratch carried through pairs of different lengths and bands
+    // must give the same answers as a fresh scratch per call — each
     // call owns every cell it reads.
-    cluster::DtwWorkspace shared;
+    simd::DtwScratch shared;
     const std::vector<std::size_t> sizes{96, 33, 131, 5, 96};
     for (std::size_t a = 0; a < sizes.size(); ++a) {
         for (const int band : {-1, 3, 8}) {
             const std::vector<double> p = wave(sizes[a], 10 + static_cast<unsigned>(a), 0.1);
             const std::vector<double> q =
                 wave(sizes[(a + 1) % sizes.size()], 20 + static_cast<unsigned>(a), 0.7);
-            cluster::DtwWorkspace fresh;
+            simd::DtwScratch fresh;
             EXPECT_EQ(cluster::dtw_distance(p, q, band, shared),
                       cluster::dtw_distance(p, q, band, fresh))
                 << "pair " << a << " band " << band;
@@ -181,17 +125,19 @@ TEST(KernelsDtwTest, WorkspaceReuseAcrossSizesMatchesFreshWorkspaces) {
 }
 
 TEST(KernelsDtwTest, SteadyStatePairLoopDoesNotAllocate) {
+    // A single pair is a batch of one through the active path's kernel;
+    // once its scratch has seen the largest shape, it stops allocating.
     const std::vector<double> p = wave(96, 5, 0.0);
     const std::vector<double> q = wave(96, 6, 0.5);
-    cluster::DtwWorkspace workspace;
+    simd::DtwScratch scratch;
     // Warm-up sizes the rows; everything after must be allocation-free.
-    (void)cluster::dtw_distance(p, q, 8, workspace);
-    (void)cluster::dtw_distance(p, q, -1, workspace);
+    (void)cluster::dtw_distance(p, q, 8, scratch);
+    (void)cluster::dtw_distance(p, q, -1, scratch);
     const std::uint64_t before = allocation_count();
     double acc = 0.0;
     for (int rep = 0; rep < 25; ++rep) {
-        acc += cluster::dtw_distance(p, q, 8, workspace);
-        acc += cluster::dtw_distance(p, q, -1, workspace);
+        acc += cluster::dtw_distance(p, q, 8, scratch);
+        acc += cluster::dtw_distance(p, q, -1, scratch);
     }
     EXPECT_EQ(allocation_count() - before, 0u);
     EXPECT_GT(acc, 0.0);
@@ -232,17 +178,6 @@ TEST(KernelsDtwTest, PairChunkedMatrixBitIdenticalAcrossWorkerCounts) {
         EXPECT_EQ(serial_metrics.snapshot().counter("cluster.dtw.cells"),
                   pool_metrics.snapshot().counter("cluster.dtw.cells"));
     }
-}
-
-TEST(KernelsDtwTest, AlignDistanceMatchesDistanceKernel) {
-    const std::vector<double> p = wave(60, 7, 0.0);
-    const std::vector<double> q = wave(75, 8, 1.1);
-    const cluster::DtwAlignment alignment = cluster::dtw_align(p, q);
-    EXPECT_EQ(alignment.distance, cluster::dtw_distance(p, q));
-    ASSERT_FALSE(alignment.path.empty());
-    EXPECT_EQ(alignment.path.front(), (std::pair<std::size_t, std::size_t>{0, 0}));
-    EXPECT_EQ(alignment.path.back(),
-              (std::pair<std::size_t, std::size_t>{p.size() - 1, q.size() - 1}));
 }
 
 // ---- FlatMatrix ------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -555,7 +556,8 @@ TEST(ServeEngineTest, DriftThresholdGatesResearch) {
 
 TEST(ServeEngineTest, ApeHistogramIndependentOfBoxInterleaving) {
     // Two connections may interleave their boxes' windows in any order;
-    // serve.ape must not depend on it, down to the last bit of its sum.
+    // serve.ape must not depend on it, down to the last bit of its sum,
+    // and neither may the serve.drift gauge.
     const trace::Trace trace = tiny_trace(11, 4);
     ServeEngine epoch_major(trace, fast_config());
     feed_all(epoch_major, trace);
@@ -577,6 +579,11 @@ TEST(ServeEngineTest, ApeHistogramIndependentOfBoxInterleaving) {
     EXPECT_EQ(a.sum, b.sum);
     EXPECT_EQ(a.min, b.min);
     EXPECT_EQ(a.max, b.max);
+    const double drift = epoch_major.metrics().gauges.at("serve.drift");
+    EXPECT_GT(drift, 0.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(drift),
+              std::bit_cast<std::uint64_t>(
+                  box_major.metrics().gauges.at("serve.drift")));
 }
 
 // -------------------------------------------------------------- retries

@@ -1,10 +1,11 @@
-// Differential/property suite for the SIMD kernel layer (ctest -L simd):
-// every compiled-and-supported path is compared against the scalar
-// reference under the policy documented in linalg/simd/simd.hpp — DTW
-// distances and lane-batched MLP training bit-identical. Shapes are
-// chosen to hit every tail/remainder case of every lane width (2, 4, 8),
-// batch sizes every partial/refilled lane pattern, and DTW inputs
-// include NaN-gap series run through the pipeline's repair step.
+// Differential/property suite for the SIMD kernel layer (ctest -L simd),
+// under the policy documented in linalg/simd/simd.hpp: DTW distances of
+// every compiled-and-supported path, scalar included, are bit-identical
+// to the test-local row DP (dtw_reference.hpp) at every batch occupancy,
+// and lane-batched MLP training is bit-identical to the scalar path.
+// Shapes are chosen to hit every tail/remainder case of every lane width
+// (2, 4, 8), batch sizes every partial/refilled lane pattern, and DTW
+// inputs include NaN-gap series run through the pipeline's repair step.
 //
 // The whole binary also runs correctly with ATM_SIMD forced (CI does
 // scalar + each runner ISA): differential tests compare explicit paths
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "cluster/dtw.hpp"
+#include "dtw_reference.hpp"
 #include "forecast/nn.hpp"
 #include "linalg/flat_matrix.hpp"
 #include "linalg/simd/simd.hpp"
@@ -139,25 +141,59 @@ TEST(SimdDispatchTest, UlpDistance) {
 }
 
 // ---------------------------------------------------------------------
-// DTW: every vector path bit-identical to scalar
+// DTW: every path, scalar included, bit-identical to the reference
 
-/// Runs one (p, q, band) case through the scalar kernel and every vector
-/// path and requires exact equality (infinity included: narrow bands on
-/// skewed lengths legitimately produce +inf).
+/// `kernels`' DTW of the pairs (ps[b], qs[b]), all of lengths n × m, as
+/// one batch on `scratch`.
+std::vector<double> dtw_batch(const KernelTable& kernels,
+                              const std::vector<const double*>& ps,
+                              const std::vector<const double*>& qs,
+                              std::size_t n, std::size_t m, int band,
+                              DtwScratch& scratch) {
+    std::vector<double> out(ps.size(), -1.0);
+    kernels.dtw_distance_batch(ps.data(), qs.data(), ps.size(), n, m, band,
+                               scratch, out.data());
+    return out;
+}
+
+/// Runs one (p, q, band) case through every path's batch kernel in every
+/// lane, at each occupancy 1..dtw_batch_width, and requires each lane to
+/// equal the reference row DP exactly (infinity included: narrow bands on
+/// skewed lengths legitimately produce +inf). Each occupancy runs twice:
+/// with one p shared by every lane (the kernel's broadcast branch) and
+/// with a private copy of p per lane (its staged branch).
 void expect_dtw_bitwise(const std::vector<double>& p,
                         const std::vector<double>& q, int band) {
-    DtwScratch scalar_scratch;
-    const double expected = scalar_table().dtw_distance(
-        p.data(), p.size(), q.data(), q.size(), band, scalar_scratch);
-    for (Path path : vector_paths()) {
+    const double expected = test::reference_dtw_banded(p, q, band);
+    if (band < 0) {
+        ASSERT_EQ(expected, test::reference_dtw_full(p, q));
+    }
+    for (Path path : supported_paths()) {
+        const KernelTable& kernels = kernels_for(path);
         DtwScratch scratch;
-        const double actual = kernels_for(path).dtw_distance(
-            p.data(), p.size(), q.data(), q.size(), band, scratch);
-        // EXPECT_EQ on doubles is bitwise here: values are either finite
-        // (never -0.0: sums of squares) or +inf.
-        EXPECT_EQ(expected, actual)
-            << to_string(path) << " diverged at n=" << p.size()
-            << " m=" << q.size() << " band=" << band;
+        for (std::size_t count = 1; count <= kernels.dtw_batch_width;
+             ++count) {
+            const std::vector<std::vector<double>> copies(count, p);
+            for (const bool shared : {true, false}) {
+                std::vector<const double*> ps;
+                for (std::size_t b = 0; b < count; ++b) {
+                    ps.push_back(shared ? p.data() : copies[b].data());
+                }
+                const std::vector<double> out =
+                    dtw_batch(kernels, ps,
+                              std::vector<const double*>(count, q.data()),
+                              p.size(), q.size(), band, scratch);
+                for (std::size_t b = 0; b < count; ++b) {
+                    // EXPECT_EQ on doubles is bitwise here: values are
+                    // either finite (never -0.0: sums of squares) or +inf.
+                    EXPECT_EQ(expected, out[b])
+                        << to_string(path) << " diverged at n=" << p.size()
+                        << " m=" << q.size() << " band=" << band
+                        << " count=" << count << " lane=" << b
+                        << (shared ? " shared p" : " staged p");
+                }
+            }
+        }
     }
 }
 
@@ -193,15 +229,15 @@ TEST(SimdDtwTest, UnequalLengthsBitwise) {
 }
 
 TEST(SimdDtwTest, ExtremeSlopeEmptyDiagonalsBitwise) {
-    // Narrow bands on very skewed lengths produce anti-diagonals with no
-    // in-band cell at all — the wavefront's empty-diagonal housekeeping
-    // path. Several of these are +inf end to end.
+    // Narrow bands on very skewed lengths give consecutive row windows
+    // that barely overlap, or not at all, so the rows' border resets
+    // decide the result. Several of these are +inf end to end.
     std::mt19937 rng(99);
     for (const auto& [n, m] : std::vector<std::pair<std::size_t, std::size_t>>{
              {3, 100}, {100, 3}, {1, 5}, {5, 1}, {1, 1}, {2, 97}, {97, 2}}) {
         const std::vector<double> p = random_series(rng, n);
         const std::vector<double> q = random_series(rng, m);
-        for (const int band : {0, 1, 2, 5}) {
+        for (int band = 0; band <= 5; ++band) {
             expect_dtw_bitwise(p, q, band);
         }
     }
@@ -238,8 +274,10 @@ TEST(SimdDtwTest, RepairedGapSeriesBitwise) {
 }
 
 TEST(SimdDtwTest, WorkspaceReuseAcrossSizesAndPaths) {
-    // One scratch reused across wildly varying sizes and bands must give
-    // the same answers as a fresh scratch per call, on every path.
+    // One scratch reused across wildly varying sizes, bands and batch
+    // occupancies must still give the reference answer, on every path.
+    // Lanes alternate between p and a copy of it, so every occupancy
+    // above one stages p through the reused lane buffers.
     std::mt19937 rng(11);
     std::vector<std::pair<std::vector<double>, std::vector<double>>> cases;
     for (const std::size_t len : {std::size_t{63}, std::size_t{5},
@@ -251,23 +289,36 @@ TEST(SimdDtwTest, WorkspaceReuseAcrossSizesAndPaths) {
         const KernelTable& kernels = kernels_for(path);
         DtwScratch reused;
         for (const auto& [p, q] : cases) {
+            const std::vector<double> p_copy = p;
             for (const int band : {-1, 3}) {
-                DtwScratch fresh;
-                const double expected = kernels.dtw_distance(
-                    p.data(), p.size(), q.data(), q.size(), band, fresh);
-                const double actual = kernels.dtw_distance(
-                    p.data(), p.size(), q.data(), q.size(), band, reused);
-                EXPECT_EQ(expected, actual) << to_string(path);
+                const double expected = test::reference_dtw_banded(p, q, band);
+                for (std::size_t count = 1; count <= kernels.dtw_batch_width;
+                     ++count) {
+                    std::vector<const double*> ps;
+                    for (std::size_t b = 0; b < count; ++b) {
+                        ps.push_back(b % 2 == 0 ? p.data() : p_copy.data());
+                    }
+                    const std::vector<double> out =
+                        dtw_batch(kernels, ps,
+                                  std::vector<const double*>(count, q.data()),
+                                  p.size(), q.size(), band, reused);
+                    for (std::size_t b = 0; b < count; ++b) {
+                        EXPECT_EQ(expected, out[b])
+                            << to_string(path) << " n=" << p.size()
+                            << " band=" << band << " count=" << count
+                            << " lane=" << b;
+                    }
+                }
             }
         }
     }
 }
 
 TEST(SimdDtwTest, BatchKernelMatchesScalarPerPairBitwise) {
-    // The lane-batched kernel must reproduce the scalar per-pair result
+    // The batch kernel must reproduce the reference row DP per pair
     // bit-for-bit in every lane, for every occupancy count up to the
-    // path's width, on shapes that hit full windows, narrow bands, and
-    // the empty-diagonal extremes.
+    // path's width, with a different pair in each lane, on shapes that
+    // hit full windows, narrow bands, and extreme length ratios.
     std::mt19937 rng(31415);
     const std::vector<std::pair<std::size_t, std::size_t>> shapes{
         {1, 1}, {5, 5}, {17, 17}, {96, 96}, {480, 480}, {3, 100}, {97, 2}};
@@ -289,14 +340,11 @@ TEST(SimdDtwTest, BatchKernelMatchesScalarPerPairBitwise) {
                     qs.push_back(q_data.back().data());
                 }
                 for (const int band : {-1, 0, 2, 8}) {
-                    std::vector<double> out(count, -1.0);
-                    kernels.dtw_distance_batch(ps.data(), qs.data(), count, n,
-                                               m, band, batch_scratch,
-                                               out.data());
+                    const std::vector<double> out =
+                        dtw_batch(kernels, ps, qs, n, m, band, batch_scratch);
                     for (std::size_t b = 0; b < count; ++b) {
-                        DtwScratch fresh;
-                        const double expected = scalar_table().dtw_distance(
-                            ps[b], n, qs[b], m, band, fresh);
+                        const double expected = test::reference_dtw_banded(
+                            p_data[b], q_data[b], band);
                         EXPECT_EQ(expected, out[b])
                             << to_string(path) << " n=" << n << " m=" << m
                             << " band=" << band << " count=" << count

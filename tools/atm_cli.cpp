@@ -109,16 +109,17 @@ void add_pipeline_flags(exec::ArgParser& parser) {
         .flag("include-gappy", "also evaluate boxes with monitoring gaps");
 }
 
-/// Builds the validated FleetConfig from parsed flags; throws
-/// ArgParseError on unknown enum values, std::invalid_argument on ranges.
-core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
-    core::FleetConfig config;
-
+/// Maps the modelling flags `predict`, `resize` and `serve` share
+/// (--method, --model, --threshold, --epsilon, --train-days) onto
+/// `pipeline`; throws ArgParseError on unknown enum values. Ranges, and
+/// serve's narrower model set, are left to the config's validate().
+void pipeline_config_from_flags(const exec::ArgParser& parser,
+                                core::PipelineConfig& pipeline) {
     const std::string method = parser.get("method");
     if (method == "dtw") {
-        config.pipeline.search.method = core::ClusteringMethod::kDtw;
+        pipeline.search.method = core::ClusteringMethod::kDtw;
     } else if (method == "cbc") {
-        config.pipeline.search.method = core::ClusteringMethod::kCbc;
+        pipeline.search.method = core::ClusteringMethod::kCbc;
     } else {
         throw exec::ArgParseError("unknown --method '" + method +
                                   "' (expected dtw|cbc)");
@@ -126,24 +127,31 @@ core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
 
     const std::string model = parser.get("model");
     if (model == "mlp") {
-        config.pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
+        pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
     } else if (model == "ar") {
-        config.pipeline.temporal = forecast::TemporalModel::kAutoregressive;
+        pipeline.temporal = forecast::TemporalModel::kAutoregressive;
     } else if (model == "holt-winters") {
-        config.pipeline.temporal = forecast::TemporalModel::kHoltWinters;
+        pipeline.temporal = forecast::TemporalModel::kHoltWinters;
     } else if (model == "seasonal-naive") {
-        config.pipeline.temporal = forecast::TemporalModel::kSeasonalNaive;
+        pipeline.temporal = forecast::TemporalModel::kSeasonalNaive;
     } else if (model == "ensemble") {
-        config.pipeline.temporal = forecast::TemporalModel::kEnsemble;
+        pipeline.temporal = forecast::TemporalModel::kEnsemble;
     } else {
         throw exec::ArgParseError(
             "unknown --model '" + model +
             "' (expected mlp|ar|holt-winters|seasonal-naive|ensemble)");
     }
 
-    config.pipeline.alpha = parser.get_double("threshold") / 100.0;
-    config.pipeline.epsilon_pct = parser.get_double("epsilon");
-    config.pipeline.train_days = parser.get_int("train-days");
+    pipeline.alpha = parser.get_double("threshold") / 100.0;
+    pipeline.epsilon_pct = parser.get_double("epsilon");
+    pipeline.train_days = parser.get_int("train-days");
+}
+
+/// Builds the validated FleetConfig from parsed flags; throws
+/// ArgParseError on unknown enum values, std::invalid_argument on ranges.
+core::FleetConfig fleet_config_from_flags(const exec::ArgParser& parser) {
+    core::FleetConfig config;
+    pipeline_config_from_flags(parser, config.pipeline);
     config.jobs = parser.get_int("jobs");
 
     // The flag wins over a conflicting ATM_SIMD environment variable —
@@ -529,27 +537,8 @@ int cmd_serve(int argc, char** argv) {
     if (!parser.parse(argc, argv, 2)) return 0;
 
     serve::ServeConfig config;
-    const std::string method = parser.get("method");
-    if (method == "dtw") {
-        config.pipeline.search.method = core::ClusteringMethod::kDtw;
-    } else if (method == "cbc") {
-        config.pipeline.search.method = core::ClusteringMethod::kCbc;
-    } else {
-        throw exec::ArgParseError("unknown --method '" + method +
-                                  "' (expected dtw|cbc)");
-    }
-    const std::string model = parser.get("model");
-    if (model == "mlp") {
-        config.pipeline.temporal = forecast::TemporalModel::kNeuralNetwork;
-    } else if (model == "seasonal-naive") {
-        config.pipeline.temporal = forecast::TemporalModel::kSeasonalNaive;
-    } else {
-        throw exec::ArgParseError("unknown --model '" + model +
-                                  "' (expected mlp|seasonal-naive)");
-    }
-    config.pipeline.alpha = parser.get_double("threshold") / 100.0;
-    config.pipeline.epsilon_pct = parser.get_double("epsilon");
-    config.pipeline.train_days = parser.get_int("train-days");
+    // validate() below rejects the models serve cannot warm-restart.
+    pipeline_config_from_flags(parser, config.pipeline);
     config.pipeline.seed = static_cast<unsigned>(parser.get_u64("seed"));
     config.queue_depth = parser.get_int("queue-depth");
     config.slo_ms = parser.get_double("slo-ms");

@@ -16,7 +16,9 @@
 #   ATM_PAPER_SCALE=1   also time the paper-scale fleet (6000 boxes /
 #                       ~80K VMs / 7 days, jobs 1 and one per hardware
 #                       thread) and record the rows under "paper" in
-#                       BENCH_fleet.json — minutes of work, so off by default
+#                       BENCH_fleet.json — minutes of work, so off by
+#                       default; without it the "paper" section already
+#                       in out-dir/BENCH_fleet.json is kept unchanged
 #   ATM_PAPER_BOXES     paper-scale box count override
 #   ATM_BENCH_MIN_SPEEDUP  override the scaling-assertion floor (0 = off)
 set -eu
